@@ -23,8 +23,12 @@ vet:
 build:
 	$(GO) build ./...
 
+# The second run holds the goroutine-leak-checked packages at GOMAXPROCS 2
+# first, then 1, even on a one-core machine: the default runtime is built
+# once per process, so a run that starts at 1 would hide a leak at 2.
 test:
 	$(GO) test ./...
+	$(GO) test -cpu 2,1 ./internal/core ./internal/server
 
 # The equivalence harness lowers the block-scan threshold, so -race here
 # exercises the parallel executor on real multi-block scans.

@@ -303,8 +303,10 @@ func maxDefaultPoolSize() int {
 }
 
 // defaultRT is the process-wide runtime behind the compatibility wrappers
-// (Solve, InsideOut) and DefaultEngine.  Its pool starts at GOMAXPROCS and
-// grows to meet explicit Workers requests.
+// (Solve, InsideOut) and DefaultEngine.  It is built on first use: its pool
+// starts at GOMAXPROCS and grows to meet explicit Workers requests.  A
+// one-shot run with Workers = 1 is sequential and never calls it, so it
+// neither creates nor grows the pool.
 var (
 	defaultRTOnce sync.Once
 	defaultRTVal  *engineRT
@@ -516,7 +518,7 @@ func (p *PreparedQuery[V]) run(ctx context.Context, q *Query[V], cache *join.Tri
 	}
 	res, err := insideOutValidated(ctx, q, p.plan.Order, p.opts, rtExecutor(p.rt, p.opts.Workers, cache))
 	if err != nil {
-		if ctx.Err() != nil {
+		if join.CtxErr(ctx) != nil {
 			p.rt.cancelled.Add(1)
 		}
 		return nil, err

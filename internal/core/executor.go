@@ -18,8 +18,9 @@ import (
 // sequence the sequential scan would use.
 //
 // Every method takes the run's context and observes cancellation at block
-// boundaries: a cancelled scan drops its remaining blocks, waits for blocks
-// in flight and returns ctx.Err() — no goroutine outlives the call.
+// boundaries with join.CtxErr, which also reads a passed deadline off the
+// clock: a cancelled scan drops its remaining blocks, waits for blocks
+// in flight and returns that error — no goroutine outlives the call.
 //
 // Both executors carry the run's trie cache (nil outside the prepared-query
 // path): CSR tries and indicator projections of the prepared input factors
@@ -41,11 +42,15 @@ type executor[V any] interface {
 }
 
 // newExecutor resolves Options.Workers for the compatibility entry points:
-// 1 forces the sequential executor; 0 (= GOMAXPROCS) or more run on the
-// process-wide shared pool of the default engine, grown on demand so an
-// explicit Workers above the pool size still gets that much concurrency.
-// One-shot runs have no prepared factors, hence no trie cache.
+// 1 forces the sequential executor and never touches the default engine, so
+// a sequential run neither creates nor grows its pool; 0 (= GOMAXPROCS) or
+// more run on the process-wide shared pool of the default engine, grown on
+// demand so an explicit Workers above the pool size still gets that much
+// concurrency.  One-shot runs have no prepared factors, hence no trie cache.
 func newExecutor[V any](workers int) executor[V] {
+	if workers == 1 {
+		return seqExecutor[V]{}
+	}
 	return rtExecutor[V](defaultRT(), workers, nil)
 }
 
@@ -58,7 +63,7 @@ type seqExecutor[V any] struct {
 
 func (e seqExecutor[V]) eliminate(ctx context.Context, d *semiring.Domain[V], op *semiring.Op[V],
 	inputs []*factor.Factor[V], vars []int, st *join.Stats) (*factor.Factor[V], error) {
-	if err := ctx.Err(); err != nil {
+	if err := join.CtxErr(ctx); err != nil {
 		return nil, err
 	}
 	return join.EliminateInnermostOn(ctx, nil, 1, e.cache, d, op, inputs, vars, st)
@@ -66,7 +71,7 @@ func (e seqExecutor[V]) eliminate(ctx context.Context, d *semiring.Domain[V], op
 
 func (e seqExecutor[V]) joinAll(ctx context.Context, d *semiring.Domain[V], inputs []*factor.Factor[V],
 	vars []int, st *join.Stats) (*factor.Factor[V], error) {
-	if err := ctx.Err(); err != nil {
+	if err := join.CtxErr(ctx); err != nil {
 		return nil, err
 	}
 	return join.JoinAllOn(ctx, nil, 1, e.cache, d, inputs, vars, st)
@@ -74,7 +79,7 @@ func (e seqExecutor[V]) joinAll(ctx context.Context, d *semiring.Domain[V], inpu
 
 func (e seqExecutor[V]) project(ctx context.Context, d *semiring.Domain[V],
 	fs []*factor.Factor[V], onto []int) ([]*factor.Factor[V], error) {
-	if err := ctx.Err(); err != nil {
+	if err := join.CtxErr(ctx); err != nil {
 		return nil, err
 	}
 	out := make([]*factor.Factor[V], len(fs))
@@ -95,7 +100,7 @@ type poolExecutor[V any] struct {
 
 func (e poolExecutor[V]) eliminate(ctx context.Context, d *semiring.Domain[V], op *semiring.Op[V],
 	inputs []*factor.Factor[V], vars []int, st *join.Stats) (*factor.Factor[V], error) {
-	if err := ctx.Err(); err != nil {
+	if err := join.CtxErr(ctx); err != nil {
 		return nil, err
 	}
 	return join.EliminateInnermostOn(ctx, e.pool, e.limit, e.cache, d, op, inputs, vars, st)
@@ -103,7 +108,7 @@ func (e poolExecutor[V]) eliminate(ctx context.Context, d *semiring.Domain[V], o
 
 func (e poolExecutor[V]) joinAll(ctx context.Context, d *semiring.Domain[V], inputs []*factor.Factor[V],
 	vars []int, st *join.Stats) (*factor.Factor[V], error) {
-	if err := ctx.Err(); err != nil {
+	if err := join.CtxErr(ctx); err != nil {
 		return nil, err
 	}
 	return join.JoinAllOn(ctx, e.pool, e.limit, e.cache, d, inputs, vars, st)

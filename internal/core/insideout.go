@@ -135,7 +135,7 @@ func insideOutValidated[V any](ctx context.Context, q *Query[V], order []int, op
 
 	// Eliminate bound variables from the innermost out.
 	for k := q.NVars - 1; k >= q.NumFree; k-- {
-		if err := ctx.Err(); err != nil {
+		if err := join.CtxErr(ctx); err != nil {
 			return nil, err
 		}
 		v := order[k]
@@ -331,7 +331,7 @@ func buildOutputFilters[V any](ctx context.Context, q *Query[V], exec executor[V
 	working := append([]entry[V](nil), entries...)
 	var filters []*factor.Factor[V]
 	for k := q.NumFree - 1; k >= 0; k-- {
-		if err := ctx.Err(); err != nil {
+		if err := join.CtxErr(ctx); err != nil {
 			return nil, err
 		}
 		v := order[k]

@@ -294,8 +294,10 @@ func stableLinearize(seq []int, poset *Poset) []int {
 // persistent runtime.  Every call replans from scratch (unlike
 // Engine.Prepare it does not consult the plan cache, so its cost model is
 // unchanged from the pre-engine API), then executes on the default engine's
-// persistent worker pool.  Callers issuing the same query shape repeatedly
-// should Prepare once on an Engine instead.
+// persistent worker pool — except with Workers = 1, which runs sequentially
+// on the calling goroutine and never creates or grows that pool.  Callers
+// issuing the same query shape repeatedly should Prepare once on an Engine
+// instead.
 func Solve[V any](q *Query[V], opts Options) (*Result[V], *Plan, error) {
 	return SolveCtx(context.Background(), q, opts)
 }

@@ -14,6 +14,7 @@ package join
 import (
 	"context"
 	"sync"
+	"time"
 )
 
 // Pool is a persistent worker pool.  The zero value is not usable; create
@@ -138,12 +139,12 @@ func (p *Pool) Run(ctx context.Context, n, limit int, fn func(i int)) error {
 	}
 	if runners <= 1 {
 		for i := 0; i < n; i++ {
-			if ctx != nil && ctx.Err() != nil {
-				return ctx.Err()
+			if err := CtxErr(ctx); err != nil {
+				return err
 			}
 			fn(i)
 		}
-		return ctxErr(ctx)
+		return CtxErr(ctx)
 	}
 
 	st := &runState{ctx: ctx, fn: fn, n: n}
@@ -167,7 +168,7 @@ func (p *Pool) Run(ctx context.Context, n, limit int, fn func(i int)) error {
 		st.cond.Wait()
 	}
 	st.mu.Unlock()
-	return ctxErr(ctx)
+	return CtxErr(ctx)
 }
 
 // runState is the per-Run coordination record shared by the caller and its
@@ -188,7 +189,7 @@ type runState struct {
 func (s *runState) runner() {
 	for {
 		s.mu.Lock()
-		if s.stopped || s.next >= s.n || (s.ctx != nil && s.ctx.Err() != nil) {
+		if s.stopped || s.next >= s.n || CtxErr(s.ctx) != nil {
 			s.mu.Unlock()
 			return
 		}
@@ -206,9 +207,21 @@ func (s *runState) runner() {
 	}
 }
 
-func ctxErr(ctx context.Context) error {
+// CtxErr is the cancellation check at a run's block and phase boundaries:
+// ctx.Err(), plus context.DeadlineExceeded once ctx's deadline has passed on
+// the clock.  ctx.Err() reports a deadline only after the runtime has run
+// the context's timer, and with one P busy on a CPU-bound scan that can be
+// long after the deadline — late enough for a whole run to finish under an
+// already expired deadline.  A nil ctx is never cancelled.
+func CtxErr(ctx context.Context) error {
 	if ctx == nil {
 		return nil
 	}
-	return ctx.Err()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+		return context.DeadlineExceeded
+	}
+	return nil
 }

@@ -69,6 +69,36 @@ func TestPoolRunCancellation(t *testing.T) {
 	}
 }
 
+// timerlessCtx has a deadline but, like a context whose timer the runtime
+// has not run yet, never reports it through Err or Done.
+type timerlessCtx struct {
+	context.Context
+	deadline time.Time
+}
+
+func (c timerlessCtx) Deadline() (time.Time, bool) { return c.deadline, true }
+
+// TestPoolRunDeadlineOnClock checks that a deadline already passed on the
+// clock stops a Run even while ctx.Err() is still nil.
+func TestPoolRunDeadlineOnClock(t *testing.T) {
+	future := timerlessCtx{context.Background(), time.Now().Add(time.Hour)}
+	if err := CtxErr(future); err != nil {
+		t.Fatalf("CtxErr before the deadline = %v", err)
+	}
+	past := timerlessCtx{context.Background(), time.Now().Add(-time.Millisecond)}
+	if err := CtxErr(past); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("CtxErr after the deadline = %v, want context.DeadlineExceeded", err)
+	}
+	for _, pool := range []*Pool{nil, NewPool(2)} {
+		var ran atomic.Int32
+		err := pool.Run(past, 100, 0, func(int) { ran.Add(1) })
+		pool.Close()
+		if !errors.Is(err, context.DeadlineExceeded) || ran.Load() != 0 {
+			t.Fatalf("Run under a passed deadline: err %v, %d tasks ran", err, ran.Load())
+		}
+	}
+}
+
 func TestPoolRunLimitCapsConcurrency(t *testing.T) {
 	pool := NewPool(8)
 	defer pool.Close()

@@ -27,6 +27,7 @@ import (
 	"net/http"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"github.com/faqdb/faq/internal/core"
@@ -204,6 +205,23 @@ func (s *Server) Handler() http.Handler {
 			s.m.inFlight.Add(1)
 			defer s.m.inFlight.Add(-1)
 		}
+		// Per-endpoint request counters move on arrival, like requests: a
+		// streamed response reaches the client before the handler returns,
+		// so a count taken afterwards could lag a response already read.
+		var endpoint *atomic.Int64
+		if r.Method == http.MethodPost {
+			switch r.URL.Path {
+			case "/v1/query":
+				endpoint = &s.m.queries
+			case "/v1/batch":
+				endpoint = &s.m.batches
+			case "/v1/delta":
+				endpoint = &s.m.deltas
+			}
+		}
+		if endpoint != nil {
+			endpoint.Add(1)
+		}
 		cw := &countingWriter{ResponseWriter: w}
 		start := time.Now()
 		var ro *reqObs
@@ -212,16 +230,7 @@ func (s *Server) Handler() http.Handler {
 		}
 		s.mux.ServeHTTP(cw, r)
 		wall := time.Since(start)
-		if r.Method == http.MethodPost && r.URL.Path == "/v1/query" {
-			s.m.queries.Add(1)
-			s.m.lat.observe(wall)
-		}
-		if r.Method == http.MethodPost && r.URL.Path == "/v1/batch" {
-			s.m.batches.Add(1)
-			s.m.lat.observe(wall)
-		}
-		if r.Method == http.MethodPost && r.URL.Path == "/v1/delta" {
-			s.m.deltas.Add(1)
+		if endpoint != nil {
 			s.m.lat.observe(wall)
 		}
 		if cw.status() < 400 {
