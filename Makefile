@@ -28,7 +28,7 @@ build:
 # once per process, so a run that starts at 1 would hide a leak at 2.
 test:
 	$(GO) test ./...
-	$(GO) test -cpu 2,1 ./internal/core ./internal/server
+	$(GO) test -cpu 2,1 ./internal/core ./internal/server ./cmd/faqrun ./cmd/satcli
 
 # The equivalence harness lowers the block-scan threshold, so -race here
 # exercises the parallel executor on real multi-block scans.

@@ -17,7 +17,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -75,30 +75,46 @@ func parseOrder(s string) ([]int, error) {
 }
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole program on an explicit argument list and output pair,
+// returning the exit status: 0 on success, 2 on a usage error, 1 when the
+// query cannot be read, planned or run.  Flags live on a FlagSet of their
+// own, so run can be called any number of times in one process.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("faqrun", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var cfg config
-	flag.StringVar(&cfg.specFile, "spec", "", "query specification file")
-	flag.StringVar(&cfg.order, "order", "", "explicit variable ordering, comma-separated ids")
-	flag.StringVar(&cfg.mode, "mode", "solve", "solve (plan+run once) or prepared (prepare once, run -repeat times)")
-	flag.IntVar(&cfg.repeat, "repeat", 1, "prepared-mode run count")
-	flag.IntVar(&cfg.maxRows, "max-rows", 50, "maximum output rows to print")
-	noFilters := flag.Bool("no-filters", false, "disable the 01-OR output filters")
-	noIndicators := flag.Bool("no-indicators", false, "disable indicator projections")
-	flag.IntVar(&cfg.workers, "workers", 0, "executor worker pool size (0 = GOMAXPROCS, 1 = sequential)")
-	flag.Parse()
+	fs.StringVar(&cfg.specFile, "spec", "", "query specification file")
+	fs.StringVar(&cfg.order, "order", "", "explicit variable ordering, comma-separated ids")
+	fs.StringVar(&cfg.mode, "mode", "solve", "solve (plan+run once) or prepared (prepare once, run -repeat times)")
+	fs.IntVar(&cfg.repeat, "repeat", 1, "prepared-mode run count")
+	fs.IntVar(&cfg.maxRows, "max-rows", 50, "maximum output rows to print")
+	noFilters := fs.Bool("no-filters", false, "disable the 01-OR output filters")
+	noIndicators := fs.Bool("no-indicators", false, "disable indicator projections")
+	fs.IntVar(&cfg.workers, "workers", 0, "executor worker pool size (0 = GOMAXPROCS, 1 = sequential)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if err := cfg.validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "faqrun: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintf(stderr, "faqrun: %v\n", err)
+		fs.Usage()
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "faqrun: %v\n", err)
+		return 1
 	}
 
 	f, err := os.Open(cfg.specFile)
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	q, err := spec.Parse(f)
 	f.Close()
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 
 	opts := core.DefaultOptions()
@@ -112,25 +128,25 @@ func main() {
 	if cfg.order != "" {
 		order, err := parseOrder(cfg.order)
 		if err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
 		if ok, err := core.InEVO(q.Shape(), order); err != nil {
-			log.Fatal(err)
+			return fail(err)
 		} else if !ok {
-			log.Fatalf("ordering %v is not φ-equivalent; refusing to compute a different function", order)
+			return fail(fmt.Errorf("ordering %v is not φ-equivalent; refusing to compute a different function", order))
 		}
 		prep, err = eng.PrepareOrder(q, order, opts)
 		if err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
 	} else {
 		prep, err = eng.PrepareOpts(q, opts)
 		if err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
 	}
 	plan := prep.Plan()
-	fmt.Printf("ordering: %s via %s (width %.3f)\n",
+	fmt.Fprintf(stdout, "ordering: %s via %s (width %.3f)\n",
 		core.OrderString(plan.Order, q.VarName), plan.Method, plan.Width)
 
 	ctx := context.Background()
@@ -139,43 +155,44 @@ func main() {
 		start := time.Now()
 		res, err = prep.Run(ctx)
 		if err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
 		if cfg.mode == "prepared" {
-			fmt.Printf("run %d: %s\n", run, time.Since(start).Round(time.Microsecond))
+			fmt.Fprintf(stdout, "run %d: %s\n", run, time.Since(start).Round(time.Microsecond))
 		}
 	}
 	if cfg.mode == "prepared" {
 		// The full plan-cache snapshot, so prepared-mode amortization is
 		// visible without a debugger: one miss (the Prepare), then pure runs.
 		st := eng.StatsSnapshot()
-		fmt.Printf("engine: %d prepared, %d plan hits, %d plan misses, %d coalesced, %d plans cached\n",
+		fmt.Fprintf(stdout, "engine: %d prepared, %d plan hits, %d plan misses, %d coalesced, %d plans cached\n",
 			st.Prepared, st.PlanCacheHits, st.PlanCacheMisses, st.PlanCoalesced, st.PlansCached)
-		fmt.Printf("engine: %d runs, %d cancelled — planning amortized over %d run(s)\n",
+		fmt.Fprintf(stdout, "engine: %d runs, %d cancelled — planning amortized over %d run(s)\n",
 			st.Runs, st.RunsCancelled, st.Runs)
 	}
-	fmt.Printf("stats: %d eliminations, %d intermediate rows (max %d), %d join probes\n",
+	fmt.Fprintf(stdout, "stats: %d eliminations, %d intermediate rows (max %d), %d join probes\n",
 		res.Stats.Eliminations, res.Stats.IntermediateRows, res.Stats.MaxIntermediate, res.Stats.Join.Probes)
 
 	if q.NumFree == 0 {
-		fmt.Printf("value: %v\n", res.Scalar())
-		return
+		fmt.Fprintf(stdout, "value: %v\n", res.Scalar())
+		return 0
 	}
-	fmt.Printf("output: %d tuples over (", res.Output.Size())
+	fmt.Fprintf(stdout, "output: %d tuples over (", res.Output.Size())
 	for i, v := range res.Output.Vars {
 		if i > 0 {
-			fmt.Print(", ")
+			fmt.Fprint(stdout, ", ")
 		}
-		fmt.Print(q.VarName(v))
+		fmt.Fprint(stdout, q.VarName(v))
 	}
-	fmt.Println(")")
+	fmt.Fprintln(stdout, ")")
 	var tup []int
 	for i := 0; i < res.Output.Size(); i++ {
 		if i >= cfg.maxRows {
-			fmt.Printf("  ... %d more rows\n", res.Output.Size()-cfg.maxRows)
+			fmt.Fprintf(stdout, "  ... %d more rows\n", res.Output.Size()-cfg.maxRows)
 			break
 		}
 		tup = res.Output.Tuple(i, tup)
-		fmt.Printf("  %v = %v\n", tup, res.Output.Values[i])
+		fmt.Fprintf(stdout, "  %v = %v\n", tup, res.Output.Values[i])
 	}
+	return 0
 }

@@ -1,7 +1,8 @@
 package main
 
 import (
-	"os"
+	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -26,15 +27,15 @@ factor y z
 end
 `
 
-// TestFaqrunSmoke drives the evaluator CLI in-process on an embedded spec.
-// main registers its flags on the global FlagSet, so it may run only once
-// per test process.
+// TestFaqrunSmoke drives the evaluator CLI in-process on an embedded spec,
+// then checks that a bad flag combination exits 2 naming the flag.
 func TestFaqrunSmoke(t *testing.T) {
 	spec := testutil.WriteFile(t, t.TempDir(), "query.faq", querySpec)
-	oldArgs := os.Args
-	defer func() { os.Args = oldArgs }()
-	os.Args = []string{"faqrun", "-spec", spec, "-workers", "2"}
-	out := testutil.CaptureStdout(t, main)
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-spec", spec, "-workers", "2"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("faqrun exited %d: %s", code, stderr.String())
+	}
+	out := stdout.String()
 	for _, want := range []string{"ordering:", "stats:", "output: 2 tuples"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("faqrun output missing %q:\n%s", want, out)
@@ -43,6 +44,14 @@ func TestFaqrunSmoke(t *testing.T) {
 	// φ(0) = 1·1 + 2·1 = 3 and φ(1) = 3·4 = 12.
 	if !strings.Contains(out, "[0] = 3") || !strings.Contains(out, "[1] = 12") {
 		t.Fatalf("faqrun computed wrong values:\n%s", out)
+	}
+
+	stderr.Reset()
+	if code := run([]string{"-spec", spec, "-workers", "-1"}, io.Discard, &stderr); code != 2 {
+		t.Fatalf("-workers -1 exited %d, want 2", code)
+	}
+	if !strings.Contains(stderr.String(), "-workers") {
+		t.Fatalf("usage error does not name the flag:\n%s", stderr.String())
 	}
 }
 

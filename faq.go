@@ -51,8 +51,8 @@
 // batches of row inserts and deletes: ring semirings (sum over float/int)
 // propagate an algebraic Δ, idempotent ones (bool, tropical, max) re-execute
 // only the key-range blocks a batch touches, and factor versions roll
-// through the engine-wide versioned trie cache so unchanged tries are shared
-// by every run and prepared query.
+// through the prepared query's own trie cache so unchanged tries are shared
+// by every run of that query.
 //
 // Runs observe ctx between elimination steps and at the block boundaries of
 // every scan: a cancelled run returns ctx.Err() cleanly with no goroutine

@@ -21,7 +21,7 @@
 //     persists in every intermediate derived from pv-carrying data), which
 //     blockSafe verifies structurally before the mode is enabled.
 //   - Full recompute, the fallback that still amortizes: committed factor
-//     versions are registered in the engine-wide trie cache, so recomputing
+//     versions are registered in the query's own trie cache, so recomputing
 //     after a small batch rebuilds only the changed factor's tries.
 //
 // All three maintain the same state — the current factor versions plus the
@@ -92,7 +92,7 @@ type deltaState[V any] struct {
 // atomically: on any error (sentinels factor.ErrDeltaArity, ErrDeltaDup,
 // ErrDeltaAbsent, ErrDeltaRange, or ErrDeltaFactor) the query state is
 // unchanged.  Committed factor versions replace their predecessors in the
-// engine-wide trie cache.  ApplyDeltas calls are serialized per prepared
+// query's trie cache.  ApplyDeltas calls are serialized per prepared
 // query; concurrent Runs are unaffected and keep serving the prepared
 // factors.
 func (p *PreparedQuery[V]) ApplyDeltas(ctx context.Context, deltas []Delta[V]) (*Result[V], error) {
@@ -349,7 +349,7 @@ func factorDomSizes[V any](q *Query[V], f *factor.Factor[V]) []int {
 }
 
 // deltaRun executes the prepared plan over a substituted factor list on the
-// engine-wide trie cache: registered (committed) factors serve their tries
+// query's trie cache: registered (committed) factors serve their tries
 // from cache, transient delta/restricted factors bypass it.
 func (p *PreparedQuery[V]) deltaRun(ctx context.Context, factors []*factor.Factor[V]) (*Result[V], error) {
 	nq := *p.q
@@ -553,7 +553,7 @@ func (p *PreparedQuery[V]) applyRecompute(ctx context.Context, st *deltaState[V]
 }
 
 // commitFactors publishes the new factor versions: each superseded factor is
-// replaced in the engine-wide trie cache (invalidation of its entries plus
+// replaced in the query's trie cache (invalidation of its entries plus
 // registration of the successor), with the batch's pv key range when the
 // caller tracked one.
 func (p *PreparedQuery[V]) commitFactors(st *deltaState[V], cur []*factor.Factor[V], ranges map[int][2]int32) {

@@ -9,8 +9,12 @@
 // queries across calls and across value types of the same engine hit the
 // cache — and PreparedQuery.Run / RunWithFactors execute InsideOut against
 // the cached plan with fresh data on the engine's persistent worker pool.
-// That is the "questions asked frequently" workload: the same query shape
-// over changing data or parameters, planned once and answered many times.
+// Each PreparedQuery also owns the CSR tries of its own factors (a
+// join.TrieCache with no capacity bound, living exactly as long as the
+// query), so repeat Runs skip the trie builds and no other query's traffic
+// can evict them.  That is the "questions asked frequently" workload: the
+// same query shape over changing data or parameters, planned once and
+// answered many times.
 package core
 
 import (
@@ -18,7 +22,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"runtime"
 	"slices"
 	"sync"
@@ -68,11 +71,13 @@ type EngineStats struct {
 	DeltaBlockRuns  int64 // affected-block re-executions
 	DeltaRecomputes int64 // full recomputes taken by the delta path
 
-	TrieCacheHits          int64 // trie/projection lookups served from cache
+	TrieCacheHits          int64 // trie/projection lookups served from a prepared query's cache
 	TrieCacheMisses        int64 // lookups that built fresh
-	TrieCacheInvalidations int64 // entries dropped by version bumps
-	TrieCacheEvictions     int64 // entries dropped by LRU capacity
-	TrieCacheEntries       int64 // entries currently cached (all value types)
+	TrieCacheInvalidations int64 // entries dropped by factor updates (ApplyDeltas)
+	// TrieCacheEvictions is always 0: trie caches live as long as their
+	// prepared query and have no capacity bound to evict by.  The field
+	// stays for readers of the older engine-wide cache's counters.
+	TrieCacheEvictions int64
 }
 
 // engineRT is the untyped runtime shared by every Engine[V] handle onto it:
@@ -90,26 +95,13 @@ type engineRT struct {
 	flightMu sync.Mutex
 	flight   map[string]*planFlight
 
-	// trieCaches holds one engine-wide versioned trie cache per value type,
-	// keyed by reflect.Type of *V.  Every PreparedQuery of that value type
-	// shares it, so shape-distinct queries over the same factors reuse each
-	// other's tries, and a delta committed through one prepared query
-	// invalidates stale entries for all of them.
-	trieCaches sync.Map // reflect.Type -> *join.TrieCache[V]
+	// tries counts the lookups of every prepared query's trie cache.  The
+	// caches themselves belong to the prepared queries (see
+	// PreparedQuery.tries); only the counters are engine-wide.
+	tries join.CacheCounters
 
 	prepared, hits, misses, coalesced, runs, cancelled     atomic.Int64
 	deltas, deltaRingRuns, deltaBlockRuns, deltaRecomputes atomic.Int64
-}
-
-// trieCacheFor returns the runtime's shared trie cache for value type V,
-// creating it on first use.
-func trieCacheFor[V any](rt *engineRT) *join.TrieCache[V] {
-	key := reflect.TypeOf((*V)(nil))
-	if c, ok := rt.trieCaches.Load(key); ok {
-		return c.(*join.TrieCache[V])
-	}
-	c, _ := rt.trieCaches.LoadOrStore(key, join.NewTrieCache[V](nil))
-	return c.(*join.TrieCache[V])
 }
 
 func newEngineRT(opts EngineOptions, growable bool) *engineRT {
@@ -133,29 +125,22 @@ func (rt *engineRT) planner() string {
 }
 
 func (rt *engineRT) stats() EngineStats {
-	s := EngineStats{
-		Prepared:        rt.prepared.Load(),
-		PlanCacheHits:   rt.hits.Load(),
-		PlanCacheMisses: rt.misses.Load(),
-		PlanCoalesced:   rt.coalesced.Load(),
-		PlansCached:     int64(rt.cache.len()),
-		Runs:            rt.runs.Load(),
-		RunsCancelled:   rt.cancelled.Load(),
-		DeltasApplied:   rt.deltas.Load(),
-		DeltaRingRuns:   rt.deltaRingRuns.Load(),
-		DeltaBlockRuns:  rt.deltaBlockRuns.Load(),
-		DeltaRecomputes: rt.deltaRecomputes.Load(),
+	return EngineStats{
+		Prepared:               rt.prepared.Load(),
+		PlanCacheHits:          rt.hits.Load(),
+		PlanCacheMisses:        rt.misses.Load(),
+		PlanCoalesced:          rt.coalesced.Load(),
+		PlansCached:            int64(rt.cache.len()),
+		Runs:                   rt.runs.Load(),
+		RunsCancelled:          rt.cancelled.Load(),
+		DeltasApplied:          rt.deltas.Load(),
+		DeltaRingRuns:          rt.deltaRingRuns.Load(),
+		DeltaBlockRuns:         rt.deltaBlockRuns.Load(),
+		DeltaRecomputes:        rt.deltaRecomputes.Load(),
+		TrieCacheHits:          rt.tries.Hits.Load(),
+		TrieCacheMisses:        rt.tries.Misses.Load(),
+		TrieCacheInvalidations: rt.tries.Invalidations.Load(),
 	}
-	rt.trieCaches.Range(func(_, v any) bool {
-		tc := v.(interface{ Stats() join.TrieCacheStats }).Stats()
-		s.TrieCacheHits += tc.Hits
-		s.TrieCacheMisses += tc.Misses
-		s.TrieCacheInvalidations += tc.Invalidations
-		s.TrieCacheEvictions += tc.Evictions
-		s.TrieCacheEntries += tc.Entries
-		return true
-	})
-	return s
 }
 
 // ErrPlannerPanic marks the error handed to singleflight waiters when the
@@ -398,10 +383,7 @@ func (e *Engine[V]) PrepareCtx(ctx context.Context, q *Query[V], opts Options) (
 	if err != nil {
 		return nil, err
 	}
-	e.rt.prepared.Add(1)
-	tc := trieCacheFor[V](e.rt)
-	tc.Register(q.Factors...)
-	return &PreparedQuery[V]{rt: e.rt, q: q, plan: plan, opts: opts, tries: tc, shapeKey: sk}, nil
+	return e.bind(q, plan, opts, sk), nil
 }
 
 // PrepareOrder binds q to an explicit variable ordering with the given
@@ -422,10 +404,14 @@ func (e *Engine[V]) PrepareOrder(q *Query[V], order []int, opts Options) (*Prepa
 		return nil, err
 	}
 	plan := &Plan{Order: append([]int(nil), order...), Width: w, Method: "user"}
+	return e.bind(q, plan, opts, s.Key()), nil
+}
+
+// bind wraps a planned query, with a trie cache of its own over its factors.
+func (e *Engine[V]) bind(q *Query[V], plan *Plan, opts Options, shapeKey string) *PreparedQuery[V] {
 	e.rt.prepared.Add(1)
-	tc := trieCacheFor[V](e.rt)
-	tc.Register(q.Factors...)
-	return &PreparedQuery[V]{rt: e.rt, q: q, plan: plan, opts: opts, tries: tc, shapeKey: s.Key()}, nil
+	return &PreparedQuery[V]{rt: e.rt, q: q, plan: plan, opts: opts, shapeKey: shapeKey,
+		tries: join.NewTrieCache(q.Factors, &e.rt.tries)}
 }
 
 // PreparedQuery is a planned FAQ query bound to an engine: the Section 6–7
@@ -441,10 +427,10 @@ type PreparedQuery[V any] struct {
 	// paths (shape metrics, pprof labels, slow-query log) never recompute
 	// it — Shape() allocates.
 	shapeKey string
-	// tries is the engine-wide versioned trie cache for this value type,
-	// shared by every PreparedQuery of the engine.  Prepare registers the
-	// query's factors, so a warm repeat Run skips the trie-build phase
-	// entirely; ApplyDeltas commits new factor versions through
+	// tries memoizes the tries and indicator projections of this query's
+	// own factors and lives exactly as long as the query, so a warm repeat
+	// Run skips the trie-build phase entirely and no other query's traffic
+	// can evict it.  ApplyDeltas commits new factor versions through
 	// TrieCache.Update, which drops the superseded entries, so nothing
 	// stale is ever served.  Unregistered (transient) factors bypass the
 	// cache and never pin memory.
@@ -495,11 +481,11 @@ func (p *PreparedQuery[V]) RunWithFactors(ctx context.Context, factors []*factor
 	if err := nq.Validate(); err != nil { // fresh data: check domain bounds once
 		return nil, err
 	}
-	// Fresh factors are not registered in the engine's versioned trie cache,
-	// so they would bypass it anyway; passing no cache keeps the bypass
-	// explicit and skips the lookups.  Callers mutating data in place should
-	// prefer ApplyDeltas, which registers the new versions and invalidates
-	// the superseded ones.
+	// Fresh factors are not registered in the query's trie cache, so they
+	// would bypass it anyway; passing no cache keeps the bypass explicit and
+	// skips the lookups.  Callers mutating data in place should prefer
+	// ApplyDeltas, which registers the new versions and invalidates the
+	// superseded ones.
 	return p.run(ctx, &nq, nil)
 }
 

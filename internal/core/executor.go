@@ -27,11 +27,13 @@ import (
 // are built once and reused by every subsequent run of the same
 // PreparedQuery.
 type executor[V any] interface {
-	// eliminate joins inputs over vars and ⊕-aggregates the last variable.
+	// eliminate joins inputs and the supports of support over vars and
+	// ⊕-aggregates the last variable.
 	eliminate(ctx context.Context, d *semiring.Domain[V], op *semiring.Op[V],
-		inputs []*factor.Factor[V], vars []int, st *join.Stats) (*factor.Factor[V], error)
-	// joinAll materializes the join of inputs over vars.
-	joinAll(ctx context.Context, d *semiring.Domain[V], inputs []*factor.Factor[V],
+		inputs, support []*factor.Factor[V], vars []int, st *join.Stats) (*factor.Factor[V], error)
+	// joinAll materializes the join of inputs and the supports of support
+	// over vars.
+	joinAll(ctx context.Context, d *semiring.Domain[V], inputs, support []*factor.Factor[V],
 		vars []int, st *join.Stats) (*factor.Factor[V], error)
 	// project computes the indicator projections (Definition 4.2) of fs
 	// onto the variable set `onto`, preserving order.  Projections of
@@ -62,19 +64,19 @@ type seqExecutor[V any] struct {
 }
 
 func (e seqExecutor[V]) eliminate(ctx context.Context, d *semiring.Domain[V], op *semiring.Op[V],
-	inputs []*factor.Factor[V], vars []int, st *join.Stats) (*factor.Factor[V], error) {
+	inputs, support []*factor.Factor[V], vars []int, st *join.Stats) (*factor.Factor[V], error) {
 	if err := join.CtxErr(ctx); err != nil {
 		return nil, err
 	}
-	return join.EliminateInnermostOn(ctx, nil, 1, e.cache, d, op, inputs, vars, st)
+	return join.EliminateInnermostOn(ctx, nil, 1, e.cache, d, op, inputs, support, vars, st)
 }
 
-func (e seqExecutor[V]) joinAll(ctx context.Context, d *semiring.Domain[V], inputs []*factor.Factor[V],
+func (e seqExecutor[V]) joinAll(ctx context.Context, d *semiring.Domain[V], inputs, support []*factor.Factor[V],
 	vars []int, st *join.Stats) (*factor.Factor[V], error) {
 	if err := join.CtxErr(ctx); err != nil {
 		return nil, err
 	}
-	return join.JoinAllOn(ctx, nil, 1, e.cache, d, inputs, vars, st)
+	return join.JoinAllOn(ctx, nil, 1, e.cache, d, inputs, support, vars, st)
 }
 
 func (e seqExecutor[V]) project(ctx context.Context, d *semiring.Domain[V],
@@ -99,19 +101,19 @@ type poolExecutor[V any] struct {
 }
 
 func (e poolExecutor[V]) eliminate(ctx context.Context, d *semiring.Domain[V], op *semiring.Op[V],
-	inputs []*factor.Factor[V], vars []int, st *join.Stats) (*factor.Factor[V], error) {
+	inputs, support []*factor.Factor[V], vars []int, st *join.Stats) (*factor.Factor[V], error) {
 	if err := join.CtxErr(ctx); err != nil {
 		return nil, err
 	}
-	return join.EliminateInnermostOn(ctx, e.pool, e.limit, e.cache, d, op, inputs, vars, st)
+	return join.EliminateInnermostOn(ctx, e.pool, e.limit, e.cache, d, op, inputs, support, vars, st)
 }
 
-func (e poolExecutor[V]) joinAll(ctx context.Context, d *semiring.Domain[V], inputs []*factor.Factor[V],
+func (e poolExecutor[V]) joinAll(ctx context.Context, d *semiring.Domain[V], inputs, support []*factor.Factor[V],
 	vars []int, st *join.Stats) (*factor.Factor[V], error) {
 	if err := join.CtxErr(ctx); err != nil {
 		return nil, err
 	}
-	return join.JoinAllOn(ctx, e.pool, e.limit, e.cache, d, inputs, vars, st)
+	return join.JoinAllOn(ctx, e.pool, e.limit, e.cache, d, inputs, support, vars, st)
 }
 
 func (e poolExecutor[V]) project(ctx context.Context, d *semiring.Domain[V],

@@ -259,7 +259,7 @@ func eliminateSemiring[V any](ctx context.Context, q *Query[V], exec executor[V]
 		return nil, fmt.Errorf("core: variable %d has no incident factor at elimination time", v)
 	}
 	inputs := make([]*factor.Factor[V], 0, len(entries))
-	var toProject []*factor.Factor[V]
+	var toProject, support []*factor.Factor[V]
 	bi := 0
 	var rest []entry[V]
 	for i, e := range entries {
@@ -270,7 +270,7 @@ func eliminateSemiring[V any](ctx context.Context, q *Query[V], exec executor[V]
 		}
 		rest = append(rest, e)
 		if opts.IndicatorProjections && e.vars.Intersects(u) {
-			toProject = append(toProject, e.f)
+			toProject, support = splitProjections(toProject, support, e, u)
 		}
 	}
 	projected, err := exec.project(ctx, q.D, toProject, u.Elems())
@@ -282,7 +282,7 @@ func eliminateSemiring[V any](ctx context.Context, q *Query[V], exec executor[V]
 	// the not-yet-eliminated variables, so it comes last.
 	orderedU := u.Elems()
 	sort.Slice(orderedU, func(a, b int) bool { return pos[orderedU[a]] < pos[orderedU[b]] })
-	nf, err := exec.eliminate(ctx, q.D, op, inputs, orderedU, &st.Join)
+	nf, err := exec.eliminate(ctx, q.D, op, inputs, support, orderedU, &st.Join)
 	if err != nil {
 		return nil, err
 	}
@@ -290,6 +290,18 @@ func eliminateSemiring[V any](ctx context.Context, q *Query[V], exec executor[V]
 	res := u.Clone()
 	res.Remove(v)
 	return append(rest, entry[V]{vars: res, f: nf}), nil
+}
+
+// splitProjections files e under the indicator projections Eq. (7) needs
+// onto u: a factor whose variables all lie in u projects onto its own
+// support, which the join reads straight off the factor's trie (support),
+// and every other factor is projected for real (toProject).
+func splitProjections[V any](toProject, support []*factor.Factor[V], e entry[V], u bitset.Set) (
+	[]*factor.Factor[V], []*factor.Factor[V]) {
+	if e.vars.SubsetOf(u) {
+		return toProject, append(support, e.f)
+	}
+	return append(toProject, e.f), support
 }
 
 // eliminateProduct performs one Case-2 step (Section 5.2.2): factors
@@ -346,7 +358,7 @@ func buildOutputFilters[V any](ctx context.Context, q *Query[V], exec executor[V
 		if len(boundary) == 0 {
 			return nil, fmt.Errorf("core: free variable %d has no incident factor at output time", v)
 		}
-		var toProject []*factor.Factor[V]
+		var toProject, support []*factor.Factor[V]
 		bi := 0
 		var rest []entry[V]
 		for i, e := range working {
@@ -359,7 +371,7 @@ func buildOutputFilters[V any](ctx context.Context, q *Query[V], exec executor[V
 				include = opts.IndicatorProjections && e.vars.Intersects(u)
 			}
 			if include {
-				toProject = append(toProject, e.f)
+				toProject, support = splitProjections(toProject, support, e, u)
 			}
 		}
 		inputs, err := exec.project(ctx, q.D, toProject, u.Elems())
@@ -368,7 +380,7 @@ func buildOutputFilters[V any](ctx context.Context, q *Query[V], exec executor[V
 		}
 		orderedU := u.Elems()
 		sort.Slice(orderedU, func(a, b int) bool { return pos[orderedU[a]] < pos[orderedU[b]] })
-		psiU, err := exec.joinAll(ctx, q.D, inputs, orderedU, &st.Join)
+		psiU, err := exec.joinAll(ctx, q.D, inputs, support, orderedU, &st.Join)
 		if err != nil {
 			return nil, err
 		}
@@ -413,7 +425,7 @@ func (fz *Factorized[V]) toListing(ctx context.Context, st *join.Stats) (*factor
 	if exec == nil {
 		exec = seqExecutor[V]{}
 	}
-	return exec.joinAll(ctx, fz.D, fz.joinInputs(), fz.FreeOrder, st)
+	return exec.joinAll(ctx, fz.D, fz.joinInputs(), nil, fz.FreeOrder, st)
 }
 
 // Enumerate streams output tuples (aligned with sorted free variables) in

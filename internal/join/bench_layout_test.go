@@ -161,14 +161,14 @@ func BenchmarkLayoutEliminateWarm(b *testing.B) {
 		layoutFactor(7, []int{1, 2}, 1000, 16000),
 		layoutFactor(8, []int{0, 2}, 1000, 16000),
 	}
-	cache := NewTrieCache(fs)
-	if _, err := EliminateInnermostOn(nil, nil, 1, cache, d, op, fs, []int{0, 1, 2}, nil); err != nil {
+	cache := NewTrieCache(fs, nil)
+	if _, err := EliminateInnermostOn(nil, nil, 1, cache, d, op, fs, nil, []int{0, 1, 2}, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := EliminateInnermostOn(nil, nil, 1, cache, d, op, fs, []int{0, 1, 2}, nil); err != nil {
+		if _, err := EliminateInnermostOn(nil, nil, 1, cache, d, op, fs, nil, []int{0, 1, 2}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,134 +1,89 @@
-// TrieCache: versioned memoization of CSR tries and indicator projections
-// for the prepare-once-run-many serving path.  Entries are keyed by factor
-// identity plus the order/projection fingerprint and stamped with the
-// factor's registration version; Update swaps a factor for its successor
-// (the delta path of incremental maintenance), bumping the version and
-// dropping every entry derived from the old data — so a cache entry can
-// never serve stale rows even though factors now evolve in place at the
-// engine level.  One cache is shared engine-wide across PreparedQuery
-// instances: registration is explicit (Register/Update), unregistered
-// factors — intermediates, one-shot fresh data — always build fresh and
-// are never stored.  Both the registered-factor set and the entry set are
-// LRU-bounded, so a long-lived engine serving many sessions cannot pin
-// unbounded factor data through its cache.
+// TrieCache: per-query memoization of CSR tries and indicator projections
+// for the prepare-once-run-many serving path.  Each prepared query owns one
+// cache over its own input factors, so the entries live exactly as long as
+// the query does: a resident dataset query or a delta session keeps its
+// tries warm for its whole life, a one-shot request's tries die with the
+// request, and unrelated traffic can never evict anything.  The cache has
+// no capacity bounds of its own — the number of live prepared queries is
+// bounded by whoever holds them (faqd's -max-sessions), and each query's
+// entries are bounded by its factors × the join orders its plan uses.
+//
+// Entries are keyed by factor identity plus the order/projection
+// fingerprint.  Update swaps a factor for its successor (the delta path of
+// incremental maintenance), dropping every entry derived from the old data
+// — so a cache entry can never serve stale rows even though factors evolve
+// in place.  Unregistered factors — intermediates, one-shot fresh data —
+// always build fresh and are never stored.
+//
+// A projection onto a superset of its factor's variables is not cached at
+// all: the join reads it as a support view of the factor's own trie (see
+// newRunner), so it costs neither a row copy nor a second trie.
 package join
 
 import (
-	"container/list"
 	"sync"
+	"sync/atomic"
 
 	"github.com/faqdb/faq/internal/factor"
 	"github.com/faqdb/faq/internal/semiring"
 )
 
-// Default LRU bounds of a TrieCache: the registered-factor cap bounds how
-// much factor data the cache can pin, the entry cap bounds derived
-// structures (tries + projections).
-const (
-	DefaultTrieCacheFactors = 1024
-	DefaultTrieCacheEntries = 4096
-)
+// DefaultTrieCacheFactors was the registered-factor cap of the engine-wide
+// cache that per-query caches replaced.  Nothing in this package reads it;
+// it stays exported at its old value because faqbench derives its warm-up
+// lengths from it.
+const DefaultTrieCacheFactors = 1024
 
-// TrieCacheStats is a snapshot of one cache's counters: Hits/Misses count
-// lookups of registered factors, Invalidations counts entries dropped
-// because their factor was updated past them, Evictions counts entries
-// dropped by the capacity bounds, and Entries/Factors are the current
-// populations.
-type TrieCacheStats struct {
-	Hits, Misses, Invalidations, Evictions int64
-	Entries, Factors                       int64
+// CacheCounters are cumulative lookup counters, shared by every cache built
+// on them (an engine shares one set across all its prepared queries):
+// Hits/Misses count lookups of registered factors, Invalidations counts
+// entries dropped because their factor was updated past them.
+type CacheCounters struct {
+	Hits, Misses, Invalidations atomic.Int64
 }
 
-// TrieCache memoizes per-factor derived structures across runs.  All
-// methods are safe for concurrent use and on a nil receiver (nil means
-// "build fresh, cache nothing").
+// TrieCache memoizes per-factor derived structures across the runs of one
+// prepared query.  All methods are safe for concurrent use and on a nil
+// receiver (nil means "build fresh, cache nothing").
 type TrieCache[V any] struct {
-	mu         sync.Mutex
-	maxFactors int
-	maxEntries int
-	version    map[*factor.Factor[V]]uint64
-	regLRU     *list.List // *factor.Factor[V]; front = most recently registered
-	regEl      map[*factor.Factor[V]]*list.Element
-	lru        *list.List // *cacheEntry[V]; front = most recently used
-	byKey      map[entryKey[V]]*list.Element
-
-	hits, misses, invalidations, evictions int64
+	mu    sync.Mutex
+	slots map[*factor.Factor[V]]*slot[V]
+	ctr   *CacheCounters
 }
 
-// entry kinds.
-const (
-	kindTrie byte = 't'
-	kindProj byte = 'p'
-)
-
-type entryKey[V any] struct {
-	f    *factor.Factor[V]
-	kind byte
-	fp   string // order fingerprint (tries) or onto fingerprint (projections)
+// slot holds the entries of one registered factor.  Update replaces a slot
+// rather than clearing it, so a build that raced an Update finds its slot
+// gone and does not store an entry derived from superseded data.
+type slot[V any] struct {
+	tries map[string]*trie[V]          // by trieOrderKey
+	projs map[string]*factor.Factor[V] // by varsKey(onto); each is registered in turn
 }
 
-type cacheEntry[V any] struct {
-	key     entryKey[V]
-	version uint64            // key.f's version when the entry was built
-	val     any               // *trie[V] or *factor.Factor[V]
-	derived *factor.Factor[V] // projections: the registered result factor
-}
-
-// NewTrieCache returns a cache with the given factors registered (nil is a
-// valid, empty start — an engine-wide cache registers factors at Prepare).
-func NewTrieCache[V any](factors []*factor.Factor[V]) *TrieCache[V] {
-	c := &TrieCache[V]{
-		maxFactors: DefaultTrieCacheFactors,
-		maxEntries: DefaultTrieCacheEntries,
-		version:    map[*factor.Factor[V]]uint64{},
-		regLRU:     list.New(),
-		regEl:      map[*factor.Factor[V]]*list.Element{},
-		lru:        list.New(),
-		byKey:      map[entryKey[V]]*list.Element{},
+// NewTrieCache returns a cache with the given factors registered, counting
+// its lookups in ctr (nil gives the cache private counters).
+func NewTrieCache[V any](factors []*factor.Factor[V], ctr *CacheCounters) *TrieCache[V] {
+	if ctr == nil {
+		ctr = new(CacheCounters)
 	}
-	c.Register(factors...)
-	return c
-}
-
-// Register admits factors for memoization (idempotent; nil factors are
-// skipped).  Registration is LRU-bounded: admitting a factor past the cap
-// expels the least recently registered one along with its entries.
-func (c *TrieCache[V]) Register(factors ...*factor.Factor[V]) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c := &TrieCache[V]{slots: make(map[*factor.Factor[V]]*slot[V], len(factors)), ctr: ctr}
 	for _, f := range factors {
-		c.registerLocked(f)
+		if f != nil {
+			c.slots[f] = &slot[V]{}
+		}
 	}
-}
-
-func (c *TrieCache[V]) registerLocked(f *factor.Factor[V]) {
-	if f == nil {
-		return
-	}
-	if el, ok := c.regEl[f]; ok {
-		c.regLRU.MoveToFront(el)
-		return
-	}
-	c.version[f] = 1
-	c.regEl[f] = c.regLRU.PushFront(f)
-	for c.maxFactors > 0 && c.regLRU.Len() > c.maxFactors {
-		last := c.regLRU.Back()
-		old := last.Value.(*factor.Factor[V])
-		c.evictions += int64(c.dropFactorLocked(old))
-	}
+	return c
 }
 
 // Update replaces a registered factor with its successor: old's entries
 // (and the entries of projections derived from it) are invalidated, and
-// new is registered at the next version.  lo/hi report the lead-key range
-// the underlying delta touched; invalidation is conservatively whole-factor
-// — range granularity lives in the delta executor's per-block dirtiness,
+// new is registered with no entries.  lo/hi report the lead-key range the
+// underlying delta touched; invalidation is conservatively whole-factor —
+// range granularity lives in the delta executor's per-block dirtiness,
 // which re-runs only the blocks intersecting [lo, hi) — so the range here
 // is documentation of intent, not a partial-drop instruction.  Updating an
-// unregistered old simply registers new.
+// unregistered old simply registers new; updating onto a factor that is
+// still registered (an update cycle returning to a held pointer) drops its
+// entries too.
 func (c *TrieCache[V]) Update(old, new *factor.Factor[V], lo, hi int32) {
 	if c == nil {
 		return
@@ -136,114 +91,41 @@ func (c *TrieCache[V]) Update(old, new *factor.Factor[V], lo, hi int32) {
 	_, _ = lo, hi
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	next := uint64(1)
-	if old != nil {
-		if v, ok := c.version[old]; ok {
-			next = v + 1
-			c.invalidations += int64(c.dropFactorLocked(old))
-		}
+	n := c.dropLocked(old)
+	if new != nil {
+		n += c.dropLocked(new)
+		c.slots[new] = &slot[V]{}
 	}
-	if new == nil {
-		return
-	}
-	if el, ok := c.regEl[new]; ok {
-		// Already registered (e.g. an update cycle returning to a held
-		// factor): bump its version so entries built before the swap-out
-		// cannot be served, and refresh its registration recency.
-		c.invalidations += int64(c.dropFactorEntriesLocked(new))
-		if c.version[new] < next {
-			c.version[new] = next
-		} else {
-			c.version[new]++
-		}
-		c.regLRU.MoveToFront(el)
-		return
-	}
-	c.version[new] = next
-	c.regEl[new] = c.regLRU.PushFront(new)
+	c.ctr.Invalidations.Add(int64(n))
 }
 
-// SetLimits reconfigures the LRU bounds (<= 0 restores the defaults) and
-// evicts down to them immediately.
-func (c *TrieCache[V]) SetLimits(maxFactors, maxEntries int) {
-	if c == nil {
-		return
-	}
-	if maxFactors <= 0 {
-		maxFactors = DefaultTrieCacheFactors
-	}
-	if maxEntries <= 0 {
-		maxEntries = DefaultTrieCacheEntries
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.maxFactors, c.maxEntries = maxFactors, maxEntries
-	for c.regLRU.Len() > c.maxFactors {
-		c.evictions += int64(c.dropFactorLocked(c.regLRU.Back().Value.(*factor.Factor[V])))
-	}
-	c.evictEntriesLocked()
-}
-
-// dropFactorLocked deregisters f and removes every entry keyed by it,
-// cascading through derived projections.  Returns the number of entries
-// removed.
-func (c *TrieCache[V]) dropFactorLocked(f *factor.Factor[V]) int {
-	if el, ok := c.regEl[f]; ok {
-		c.regLRU.Remove(el)
-		delete(c.regEl, f)
-	}
-	delete(c.version, f)
-	return c.dropFactorEntriesLocked(f)
-}
-
-// dropFactorEntriesLocked removes every entry keyed by f (leaving f's own
-// registration alone), cascading through derived projections.
-func (c *TrieCache[V]) dropFactorEntriesLocked(f *factor.Factor[V]) int {
-	var keys []entryKey[V]
-	for k := range c.byKey {
-		if k.f == f {
-			keys = append(keys, k)
-		}
-	}
-	n := 0
-	for _, k := range keys {
-		n += c.removeKeyLocked(k)
-	}
-	return n
-}
-
-// removeKeyLocked removes one entry if still present, cascading: dropping
-// a projection entry also drops the projection factor's registration and
-// the tries built from it.  Returns the number of entries removed.
-func (c *TrieCache[V]) removeKeyLocked(k entryKey[V]) int {
-	el, ok := c.byKey[k]
+// dropLocked deregisters f and its entries, cascading through the
+// projections derived from it.  Returns the number of entries removed.
+func (c *TrieCache[V]) dropLocked(f *factor.Factor[V]) int {
+	s, ok := c.slots[f]
 	if !ok {
 		return 0
 	}
-	e := el.Value.(*cacheEntry[V])
-	c.lru.Remove(el)
-	delete(c.byKey, k)
-	n := 1
-	if e.derived != nil {
-		n += c.dropFactorLocked(e.derived)
+	delete(c.slots, f)
+	n := len(s.tries) + len(s.projs)
+	for _, p := range s.projs {
+		n += c.dropLocked(p)
 	}
 	return n
 }
 
-// insertLocked stores a fresh entry and evicts down to the entry cap.
-func (c *TrieCache[V]) insertLocked(k entryKey[V], version uint64, val any, derived *factor.Factor[V]) {
-	c.byKey[k] = c.lru.PushFront(&cacheEntry[V]{key: k, version: version, val: val, derived: derived})
-	c.evictEntriesLocked()
-}
-
-func (c *TrieCache[V]) evictEntriesLocked() {
-	for c.maxEntries > 0 && c.lru.Len() > c.maxEntries {
-		last := c.lru.Back()
-		if last == nil {
-			return
-		}
-		c.evictions += int64(c.removeKeyLocked(last.Value.(*cacheEntry[V]).key))
+// Len returns the current populations: cached tries and cached projections.
+func (c *TrieCache[V]) Len() (tries, projections int) {
+	if c == nil {
+		return 0, 0
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, s := range c.slots {
+		tries += len(s.tries)
+		projections += len(s.projs)
+	}
+	return tries, projections
 }
 
 // varsKey fingerprints a variable sequence.
@@ -278,113 +160,86 @@ func trieOrderKey[V any](f *factor.Factor[V], pos map[int]int) string {
 }
 
 // trieFor returns the CSR trie of f along pos, from the cache when f is a
-// registered factor (or a cached projection of one) at an unchanged
-// version.  Concurrent first builds may both construct; both results are
-// identical and either may win the store.
+// registered factor (or a cached projection of one).  Concurrent first
+// builds may both construct; both results are identical and the first
+// stored one is served from then on.
 func (c *TrieCache[V]) trieFor(f *factor.Factor[V], pos map[int]int) (*trie[V], error) {
 	if c == nil {
 		return buildTrie(f, pos)
 	}
 	c.mu.Lock()
-	ver, registered := c.version[f]
+	s, registered := c.slots[f]
 	if !registered {
 		// Intermediate factors are fresh every run — expected builds, not
 		// cache misses, so they stay out of the counters.
 		c.mu.Unlock()
 		return buildTrie(f, pos)
 	}
-	key := entryKey[V]{f: f, kind: kindTrie, fp: trieOrderKey(f, pos)}
-	if el, ok := c.byKey[key]; ok {
-		e := el.Value.(*cacheEntry[V])
-		if e.version == ver {
-			c.hits++
-			c.lru.MoveToFront(el)
-			c.mu.Unlock()
-			return e.val.(*trie[V]), nil
-		}
-		// Stale under a re-registered pointer: drop and rebuild.
-		c.invalidations += int64(c.removeKeyLocked(key))
+	key := trieOrderKey(f, pos)
+	if t, ok := s.tries[key]; ok {
+		c.mu.Unlock()
+		c.ctr.Hits.Add(1)
+		return t, nil
 	}
-	c.misses++
 	c.mu.Unlock()
+	c.ctr.Misses.Add(1)
 
 	t, err := buildTrie(f, pos) // build outside the lock
 	if err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
-	if cur, ok := c.version[f]; ok && cur == ver {
-		if _, exists := c.byKey[key]; !exists {
-			c.insertLocked(key, ver, t, nil)
-		}
+	defer c.mu.Unlock()
+	if c.slots[f] != s {
+		return t, nil // f was updated while we built: serve but do not store
 	}
-	c.mu.Unlock()
+	if prev, ok := s.tries[key]; ok {
+		return prev, nil
+	}
+	if s.tries == nil {
+		s.tries = map[string]*trie[V]{}
+	}
+	s.tries[key] = t
 	return t, nil
 }
 
 // Projection returns the indicator projection of f onto the given variable
-// set, memoized when f is a registered factor at an unchanged version.
-// Cached projections are themselves registered, so their tries are
-// cacheable in turn — on a warm cache a repeat Run performs no trie or
-// projection builds at all.
+// set, memoized when f is a registered factor.  Cached projections are
+// themselves registered, so their tries are cacheable in turn — on a warm
+// cache a repeat Run performs no trie or projection builds at all.
 func (c *TrieCache[V]) Projection(d *semiring.Domain[V], f *factor.Factor[V], onto []int) *factor.Factor[V] {
 	if c == nil {
 		return f.IndicatorProjection(d, onto)
 	}
 	c.mu.Lock()
-	ver, registered := c.version[f]
+	s, registered := c.slots[f]
 	if !registered {
 		c.mu.Unlock()
 		return f.IndicatorProjection(d, onto)
 	}
-	key := entryKey[V]{f: f, kind: kindProj, fp: varsKey(onto)}
-	if el, ok := c.byKey[key]; ok {
-		e := el.Value.(*cacheEntry[V])
-		if e.version == ver {
-			c.hits++
-			c.lru.MoveToFront(el)
-			c.mu.Unlock()
-			return e.val.(*factor.Factor[V])
-		}
-		c.invalidations += int64(c.removeKeyLocked(key))
+	key := varsKey(onto)
+	if p, ok := s.projs[key]; ok {
+		c.mu.Unlock()
+		c.ctr.Hits.Add(1)
+		return p
 	}
-	c.misses++
 	c.mu.Unlock()
+	c.ctr.Misses.Add(1)
 
 	p := f.IndicatorProjection(d, onto)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if cur, ok := c.version[f]; !ok || cur != ver {
-		return p // factor moved on while we built: serve but do not store
+	if c.slots[f] != s {
+		return p // f was updated while we built: serve but do not store
 	}
-	if el, ok := c.byKey[key]; ok {
+	if prev, ok := s.projs[key]; ok {
 		// Lost a race: keep the stored copy so trie keys stay stable.
-		return el.Value.(*cacheEntry[V]).val.(*factor.Factor[V])
+		return prev
 	}
-	c.registerLocked(p)
-	c.insertLocked(key, ver, p, p)
+	if s.projs == nil {
+		s.projs = map[string]*factor.Factor[V]{}
+	}
+	s.projs[key] = p
+	c.slots[p] = &slot[V]{}
 	return p
-}
-
-// Counters returns (hits, misses), the legacy subset of Stats.
-func (c *TrieCache[V]) Counters() (hits, misses int64) {
-	s := c.Stats()
-	return s.Hits, s.Misses
-}
-
-// Stats returns a snapshot of the cache's counters and populations.
-func (c *TrieCache[V]) Stats() TrieCacheStats {
-	if c == nil {
-		return TrieCacheStats{}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return TrieCacheStats{
-		Hits:          c.hits,
-		Misses:        c.misses,
-		Invalidations: c.invalidations,
-		Evictions:     c.evictions,
-		Entries:       int64(c.lru.Len()),
-		Factors:       int64(c.regLRU.Len()),
-	}
 }

@@ -1,6 +1,7 @@
 package join
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -13,7 +14,8 @@ func TestTrieCacheMemoizesRegisteredFactors(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	f := randomFactor(rng, d, []int{0, 1}, 8, 30)
 	g := randomFactor(rng, d, []int{0, 1}, 8, 30) // not registered
-	c := NewTrieCache([]*factor.Factor[float64]{f})
+	ctr := new(CacheCounters)
+	c := NewTrieCache([]*factor.Factor[float64]{f}, ctr)
 	pos := map[int]int{0: 0, 1: 1}
 
 	t1, err := c.trieFor(f, pos)
@@ -40,8 +42,8 @@ func TestTrieCacheMemoizesRegisteredFactors(t *testing.T) {
 	if u1 == u2 {
 		t.Fatal("unregistered factor was cached")
 	}
-	hits, misses := c.Counters()
-	if hits != 2 || misses < 2 {
+	hits, misses := ctr.Hits.Load(), ctr.Misses.Load()
+	if hits != 2 || misses != 2 {
 		t.Fatalf("counters hits=%d misses=%d, want 2 hits", hits, misses)
 	}
 }
@@ -49,7 +51,7 @@ func TestTrieCacheMemoizesRegisteredFactors(t *testing.T) {
 func TestTrieCacheProjectionIdentityIsStable(t *testing.T) {
 	d := semiring.Float()
 	f := randomFactor(rand.New(rand.NewSource(12)), d, []int{0, 1, 2}, 6, 40)
-	c := NewTrieCache([]*factor.Factor[float64]{f})
+	c := NewTrieCache([]*factor.Factor[float64]{f}, nil)
 
 	p1 := c.Projection(d, f, []int{0, 1})
 	p2 := c.Projection(d, f, []int{0, 1})
@@ -83,8 +85,9 @@ func TestNilTrieCacheBuildsFresh(t *testing.T) {
 	if got := c.Projection(d, f, []int{0}); got == nil {
 		t.Fatal("nil cache projection")
 	}
-	if h, m := c.Counters(); h != 0 || m != 0 {
-		t.Fatal("nil cache counted something")
+	c.Update(f, f, 0, 8)
+	if tries, projs := c.Len(); tries != 0 || projs != 0 {
+		t.Fatal("nil cache stored something")
 	}
 }
 
@@ -105,9 +108,10 @@ func TestCachedScanMatchesUncached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewTrieCache(fs)
+	ctr := new(CacheCounters)
+	c := NewTrieCache(fs, ctr)
 	for round := 0; round < 3; round++ {
-		got, err := EliminateInnermostOn(nil, nil, 1, c, d, op, fs, vars, nil)
+		got, err := EliminateInnermostOn(nil, nil, 1, c, d, op, fs, nil, vars, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +119,7 @@ func TestCachedScanMatchesUncached(t *testing.T) {
 			t.Fatalf("round %d: cached scan diverged", round)
 		}
 	}
-	if hits, _ := c.Counters(); hits == 0 {
+	if ctr.Hits.Load() == 0 {
 		t.Fatal("warm rounds never hit the cache")
 	}
 }
@@ -127,7 +131,8 @@ func TestTrieCacheUpdateInvalidates(t *testing.T) {
 	d := semiring.Float()
 	rng := rand.New(rand.NewSource(21))
 	old := randomFactor(rng, d, []int{0, 1, 2}, 6, 40)
-	c := NewTrieCache([]*factor.Factor[float64]{old})
+	ctr := new(CacheCounters)
+	c := NewTrieCache([]*factor.Factor[float64]{old}, ctr)
 	pos := map[int]int{0: 0, 1: 1, 2: 2}
 
 	t1, err := c.trieFor(old, pos)
@@ -140,12 +145,12 @@ func TestTrieCacheUpdateInvalidates(t *testing.T) {
 	}
 	next := randomFactor(rng, d, []int{0, 1, 2}, 6, 40)
 	c.Update(old, next, 0, 6)
-	s := c.Stats()
-	if s.Invalidations == 0 {
-		t.Fatal("Update recorded no invalidations")
+	// Three entries go: old's trie, its projection, the projection's trie.
+	if n := ctr.Invalidations.Load(); n != 3 {
+		t.Fatalf("Update recorded %d invalidations, want 3", n)
 	}
-	if s.Entries != 0 {
-		t.Fatalf("entries survived the update: %d (the projection cascade leaked)", s.Entries)
+	if tries, projs := c.Len(); tries != 0 || projs != 0 {
+		t.Fatalf("entries survived the update: %d tries, %d projections (the projection cascade leaked)", tries, projs)
 	}
 	// The old pointer is deregistered: rebuilt fresh, never stored.
 	u1, _ := c.trieFor(old, pos)
@@ -169,93 +174,71 @@ func TestTrieCacheUpdateCycleBumpsVersion(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	a := randomFactor(rng, d, []int{0, 1}, 8, 30)
 	b := randomFactor(rng, d, []int{0, 1}, 8, 30)
-	c := NewTrieCache([]*factor.Factor[float64]{a})
+	c := NewTrieCache([]*factor.Factor[float64]{a}, nil)
 	pos := map[int]int{0: 0, 1: 1}
 
 	ta1, _ := c.trieFor(a, pos)
 	c.Update(a, b, 0, 8)
-	c.Register(a) // the same pointer re-enters (e.g. a rolled-back state)
+	c.Update(b, a, 0, 8) // the same pointer re-enters (e.g. a rolled-back state)
 	ta2, _ := c.trieFor(a, pos)
 	ta3, _ := c.trieFor(a, pos)
+	if ta2 == ta1 {
+		t.Fatal("entry built before the swap-out served after the pointer re-entered")
+	}
 	if ta2 != ta3 {
 		t.Fatal("re-registered factor does not memoize")
 	}
-	_ = ta1 // the old trie object may legitimately equal a rebuild bit-wise
 
-	// And updating INTO a still-registered pointer bumps its version: the
+	// And updating INTO a still-registered pointer drops its entries: the
 	// memoized trie from before the update may not be served after it.
-	c.Update(b, a, 0, 8)
+	c.Update(nil, a, 0, 8)
 	ta4, _ := c.trieFor(a, pos)
 	if ta4 == ta2 {
 		t.Fatal("entry built before the update survived an update onto the same pointer")
 	}
 }
 
-// TestTrieCacheEvictionOrdering: with a hard entry cap, the least recently
-// used entry goes first, and touching an entry protects it.
-func TestTrieCacheEvictionOrdering(t *testing.T) {
+// TestSupportViewMatchesProjection: a factor passed as support joins exactly
+// like its full-arity indicator projection — bit-identical output at every
+// worker count — while the cache stores only the factor's own trie.
+func TestSupportViewMatchesProjection(t *testing.T) {
+	forceBlocks(t)
 	d := semiring.Float()
-	rng := rand.New(rand.NewSource(23))
-	var fs []*factor.Factor[float64]
-	for i := 0; i < 3; i++ {
-		fs = append(fs, randomFactor(rng, d, []int{0, 1}, 8, 30))
-	}
-	c := NewTrieCache(fs)
-	c.SetLimits(DefaultTrieCacheFactors, 2)
-	pos := map[int]int{0: 0, 1: 1}
-
-	t0, _ := c.trieFor(fs[0], pos) // entries: {0}
-	t1, _ := c.trieFor(fs[1], pos) // entries: {1, 0}
-	r0, _ := c.trieFor(fs[0], pos) // touch 0 → {0, 1}
-	if r0 != t0 {
-		t.Fatal("entry evicted below the cap")
-	}
-	if _, err := c.trieFor(fs[2], pos); err != nil { // evicts 1, the LRU
+	op := semiring.OpFloatSum()
+	rng := rand.New(rand.NewSource(25))
+	r := randomFactor(rng, d, []int{0, 1}, 10, 60)
+	s := randomFactor(rng, d, []int{1, 2}, 10, 60)
+	u := randomFactor(rng, d, []int{0, 2}, 10, 60)
+	vars := []int{1, 0, 2}
+	proj := u.IndicatorProjection(d, []int{0, 1, 2})
+	want, err := EliminateInnermost(d, op, []*factor.Factor[float64]{r, s, proj}, vars, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Stats(); got.Evictions == 0 || got.Entries != 2 {
-		t.Fatalf("stats after eviction: %+v", got)
-	}
-	r1, _ := c.trieFor(fs[1], pos) // must rebuild: it was the victim
-	if r1 == t1 {
-		t.Fatal("LRU victim was still served")
-	}
-	r0b, _ := c.trieFor(fs[0], pos)
-	if r0b == t0 {
-		// 0 was most recent before 2 arrived, then 1's rebuild evicted it —
-		// order must be 2,1 now, so 0 rebuilds too.  If it didn't, eviction
-		// ignored recency.
-		t.Fatal("eviction did not follow LRU order")
-	}
-}
-
-// TestTrieCacheFactorCapExpelsOldest: the registered-factor LRU expels the
-// least recently registered factor, taking its entries with it.
-func TestTrieCacheFactorCapExpelsOldest(t *testing.T) {
-	d := semiring.Float()
-	rng := rand.New(rand.NewSource(24))
-	var fs []*factor.Factor[float64]
-	for i := 0; i < 3; i++ {
-		fs = append(fs, randomFactor(rng, d, []int{0, 1}, 8, 30))
-	}
-	c := NewTrieCache[float64](nil)
-	c.SetLimits(2, DefaultTrieCacheEntries)
-	pos := map[int]int{0: 0, 1: 1}
-
-	c.Register(fs[0], fs[1])
-	t0, _ := c.trieFor(fs[0], pos)
-	c.Register(fs[0]) // refresh 0's recency; 1 is now the expulsion victim
-	c.Register(fs[2]) // expels 1
-	u1a, _ := c.trieFor(fs[1], pos)
-	u1b, _ := c.trieFor(fs[1], pos)
-	if u1a == u1b {
-		t.Fatal("expelled factor still memoizes")
-	}
-	r0, _ := c.trieFor(fs[0], pos)
-	if r0 != t0 {
-		t.Fatal("recency-refreshed factor lost its entry")
-	}
-	if got := c.Stats(); got.Factors != 2 {
-		t.Fatalf("registered factors after expulsion: %d, want 2", got.Factors)
+	for _, workers := range []int{1, 3} {
+		pool := NewPool(workers)
+		ctr := new(CacheCounters)
+		c := NewTrieCache([]*factor.Factor[float64]{r, s, u}, ctr)
+		for round := 0; round < 2; round++ {
+			got, err := EliminateInnermostOn(nil, pool, 0, c, d, op,
+				[]*factor.Factor[float64]{r, s}, []*factor.Factor[float64]{u}, vars, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same := want.Equal(d, got)
+			for i := 0; same && i < got.Size(); i++ {
+				same = math.Float64bits(got.Values[i]) == math.Float64bits(want.Values[i])
+			}
+			if !same {
+				t.Fatalf("workers=%d round %d: support view diverged from the projection", workers, round)
+			}
+		}
+		pool.Close()
+		if tries, projs := c.Len(); tries != 3 || projs != 0 {
+			t.Fatalf("workers=%d: cache holds %d tries, %d projections; want 3 and 0", workers, tries, projs)
+		}
+		if m := ctr.Misses.Load(); m != 3 {
+			t.Fatalf("workers=%d: %d misses, want one per factor", workers, m)
+		}
 	}
 }

@@ -233,15 +233,23 @@ type depthScratch struct {
 // variable of vars must occur in at least one factor (otherwise its
 // candidate set would be unconstrained).
 func NewRunner[V any](d *semiring.Domain[V], factors []*factor.Factor[V], vars []int) (*Runner[V], error) {
-	return newRunner(nil, nil, 1, nil, d, factors, vars)
+	return newRunner(nil, nil, 1, nil, d, factors, nil, vars)
 }
 
 // newRunner is NewRunner with trie construction fanned out over the worker
 // pool — factor tries are independent, so building them concurrently is
 // deterministic — and answered from the trie cache where possible.  A nil
 // pool builds inline; a nil cache always builds.
+//
+// support lists factors that join through their support only: each stands
+// for its indicator projection onto a superset of its own variables (Eq.
+// (7) when the projection keeps every column), which has exactly the
+// factor's rows, all valued One.  The runner walks the factor's own trie
+// levels for it and never reads its values, so the projection costs no row
+// copy and no second trie, and the skipped ⊗ One leaves every product
+// bit-identical.
 func newRunner[V any](ctx context.Context, pool *Pool, limit int, cache *TrieCache[V],
-	d *semiring.Domain[V], factors []*factor.Factor[V], vars []int) (*Runner[V], error) {
+	d *semiring.Domain[V], factors, support []*factor.Factor[V], vars []int) (*Runner[V], error) {
 	pos := make(map[int]int, len(vars))
 	for i, v := range vars {
 		if _, dup := pos[v]; dup {
@@ -260,6 +268,15 @@ func newRunner[V any](ctx context.Context, pool *Pool, limit int, cache *TrieCac
 			} else {
 				r.constProd = d.Mul(r.constProd, f.Values[0])
 			}
+			continue
+		}
+		positive = append(positive, f)
+	}
+	valued := len(positive) // tries [valued:] are support views
+	for _, f := range support {
+		if f.Arity() == 0 {
+			// The indicator of a nullary factor is One unless it is empty.
+			r.empty = r.empty || f.Size() == 0
 			continue
 		}
 		positive = append(positive, f)
@@ -283,7 +300,7 @@ func newRunner[V any](ctx context.Context, pool *Pool, limit int, cache *TrieCac
 		for j, v := range t.vars {
 			depth := pos[v]
 			r.consumers[depth] = append(r.consumers[depth], ti)
-			if j == len(t.vars)-1 {
+			if j == len(t.vars)-1 && ti < valued {
 				r.finishers[depth] = append(r.finishers[depth], ti)
 			}
 		}
@@ -427,7 +444,7 @@ func (r *Runner[V]) search(depth int, prod V, emit func([]int, V)) {
 // at each tuple is the ⊗-product of the inputs (the output phase of
 // InsideOut, Eq. (12)).
 func JoinAll[V any](d *semiring.Domain[V], factors []*factor.Factor[V], vars []int, stats *Stats) (*factor.Factor[V], error) {
-	return JoinAllOn(context.Background(), nil, 1, nil, d, factors, vars, stats)
+	return JoinAllOn(context.Background(), nil, 1, nil, d, factors, nil, vars, stats)
 }
 
 // scanListing runs the prepared runner and collects one flat row per emitted
@@ -451,7 +468,7 @@ func scanListing[V any](r *Runner[V], perm []int) ([]int32, []V) {
 func EliminateInnermost[V any](d *semiring.Domain[V], op *semiring.Op[V],
 	factors []*factor.Factor[V], vars []int, stats *Stats) (*factor.Factor[V], error) {
 
-	return EliminateInnermostOn(context.Background(), nil, 1, nil, d, op, factors, vars, stats)
+	return EliminateInnermostOn(context.Background(), nil, 1, nil, d, op, factors, nil, vars, stats)
 }
 
 // scanGrouped runs the prepared runner, ⊕-aggregating the innermost variable

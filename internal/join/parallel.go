@@ -216,10 +216,12 @@ func recordSplit(stats *Stats, blocks []blockRange, n int, cacheAware bool) {
 	}
 }
 
-func totalRows[V any](factors []*factor.Factor[V]) int {
+func totalRows[V any](lists ...[]*factor.Factor[V]) int {
 	n := 0
-	for _, f := range factors {
-		n += f.Size()
+	for _, fs := range lists {
+		for _, f := range fs {
+			n += f.Size()
+		}
 	}
 	return n
 }
@@ -257,17 +259,19 @@ func runBlocks[V any](ctx context.Context, pool *Pool, limit int, r *Runner[V],
 // variable's candidates, blocks aggregate in parallel (at most `limit` in
 // flight), and outputs merge in block order.  The result is bit-identical
 // to the sequential scan for every pool size and limit; sub-scale instances
-// and scalar-output steps fall back to the sequential path.  Trie builds and
-// indicator projections hit `cache` when the caller has one.
+// and scalar-output steps fall back to the sequential path.  Trie builds
+// hit `cache` when the caller has one; support lists the factors that join
+// through their support only (full-arity indicator projections, see
+// newRunner).
 func EliminateInnermostOn[V any](ctx context.Context, pool *Pool, limit int,
 	cache *TrieCache[V], d *semiring.Domain[V], op *semiring.Op[V],
-	factors []*factor.Factor[V], vars []int, stats *Stats) (*factor.Factor[V], error) {
+	factors, support []*factor.Factor[V], vars []int, stats *Stats) (*factor.Factor[V], error) {
 
 	if len(vars) == 0 {
 		return nil, fmt.Errorf("join: EliminateInnermost needs at least the eliminated variable")
 	}
 	width := poolWidth(pool, limit)
-	r, err := newRunner(ctx, pool, limit, cache, d, factors, vars)
+	r, err := newRunner(ctx, pool, limit, cache, d, factors, support, vars)
 	if err != nil {
 		return nil, err
 	}
@@ -276,7 +280,7 @@ func EliminateInnermostOn[V any](ctx context.Context, pool *Pool, limit int,
 	sort.Ints(sortedVars)
 	perm := permutationTo(outVars, sortedVars)
 
-	if len(vars) >= 2 && width > 1 && totalRows(factors) >= MinParallelRows {
+	if len(vars) >= 2 && width > 1 && totalRows(factors, support) >= MinParallelRows {
 		lead, n := r.topPlan()
 		if blocks, cacheAware := splitRange(n, width, r.footprintBytes()); len(blocks) >= 2 {
 			recordSplit(stats, blocks, n, cacheAware)
@@ -307,11 +311,11 @@ func EliminateInnermostOn[V any](ctx context.Context, pool *Pool, limit int,
 
 // JoinAllOn is JoinAll on the same block-parallel persistent pool.
 func JoinAllOn[V any](ctx context.Context, pool *Pool, limit int,
-	cache *TrieCache[V], d *semiring.Domain[V], factors []*factor.Factor[V],
+	cache *TrieCache[V], d *semiring.Domain[V], factors, support []*factor.Factor[V],
 	vars []int, stats *Stats) (*factor.Factor[V], error) {
 
 	width := poolWidth(pool, limit)
-	r, err := newRunner(ctx, pool, limit, cache, d, factors, vars)
+	r, err := newRunner(ctx, pool, limit, cache, d, factors, support, vars)
 	if err != nil {
 		return nil, err
 	}
@@ -319,7 +323,7 @@ func JoinAllOn[V any](ctx context.Context, pool *Pool, limit int,
 	sort.Ints(sortedVars)
 	perm := permutationTo(vars, sortedVars)
 
-	if len(vars) > 0 && width > 1 && totalRows(factors) >= MinParallelRows {
+	if len(vars) > 0 && width > 1 && totalRows(factors, support) >= MinParallelRows {
 		lead, n := r.topPlan()
 		if blocks, cacheAware := splitRange(n, width, r.footprintBytes()); len(blocks) >= 2 {
 			recordSplit(stats, blocks, n, cacheAware)
@@ -366,7 +370,7 @@ func EliminateInnermostPar[V any](d *semiring.Domain[V], op *semiring.Op[V],
 
 	pool := NewPool(workers)
 	defer pool.Close()
-	return EliminateInnermostOn(context.Background(), pool, 0, nil, d, op, factors, vars, stats)
+	return EliminateInnermostOn(context.Background(), pool, 0, nil, d, op, factors, nil, vars, stats)
 }
 
 // JoinAllPar is JoinAllOn on a transient pool.
@@ -375,5 +379,5 @@ func JoinAllPar[V any](d *semiring.Domain[V], factors []*factor.Factor[V],
 
 	pool := NewPool(workers)
 	defer pool.Close()
-	return JoinAllOn(context.Background(), pool, 0, nil, d, factors, vars, stats)
+	return JoinAllOn(context.Background(), pool, 0, nil, d, factors, nil, vars, stats)
 }

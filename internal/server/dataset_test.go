@@ -330,6 +330,54 @@ func TestDatasetResidentReuse(t *testing.T) {
 	}
 }
 
+// TestDatasetTriesSurviveInlineTraffic: a resident dataset query owns its
+// tries, so thousands of inline queries in between — more than three times
+// the registration cap of the engine-wide cache this replaced — leave them
+// warm: the next dataset query moves trie_cache_hits, not
+// trie_cache_misses, and answers the same value.
+func TestDatasetTriesSurviveInlineTraffic(t *testing.T) {
+	_, _, c := newTestServer(t, Config{Workers: 1, DataDir: t.TempDir()})
+	ctx := context.Background()
+	if _, err := c.PutDataset(ctx, "tri", triFrames(wire.DomainFloat, 6)); err != nil {
+		t.Fatal(err)
+	}
+	useSpec := triDomSpec(wire.DomainFloat, 6, 0, true, "tri")
+	first, err := c.Query(ctx, &QueryRequest{Spec: useSpec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3100; i++ {
+		if _, err := c.Query(ctx, &QueryRequest{Spec: triangleSpec(4, 0, float64(i))}); err != nil {
+			t.Fatalf("inline query %d: %v", i, err)
+		}
+	}
+	before, err := c.Statsz(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := c.Query(ctx, &QueryRequest{Spec: useSpec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := c.Statsz(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, a := before.Engine, after.Engine
+	if a.TrieCacheHits <= b.TrieCacheHits {
+		t.Fatalf("dataset query hit no tries after inline traffic (%d -> %d hits)", b.TrieCacheHits, a.TrieCacheHits)
+	}
+	if a.TrieCacheMisses != b.TrieCacheMisses {
+		t.Fatalf("dataset query rebuilt tries: misses %d -> %d", b.TrieCacheMisses, a.TrieCacheMisses)
+	}
+	if a.TrieCacheEvictions != 0 {
+		t.Fatalf("trie_cache_evictions = %d, want 0", a.TrieCacheEvictions)
+	}
+	if !reflect.DeepEqual(first.Value, again.Value) {
+		t.Fatalf("dataset answer changed: %v != %v", first.Value, again.Value)
+	}
+}
+
 // TestDatasetColdRestart uploads through one server, shuts it down, and
 // starts a second over the same directory: the dataset must be served from
 // the verified on-disk file with no re-upload, bit-identical.

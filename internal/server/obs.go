@@ -203,10 +203,8 @@ func newServerObs(s *Server) *serverObs {
 		func(e core.EngineStats) int64 { return e.TrieCacheMisses })
 	engCounter("faqd_engine_trie_cache_invalidations_total", "Trie-cache entries dropped by factor updates.",
 		func(e core.EngineStats) int64 { return e.TrieCacheInvalidations })
-	engCounter("faqd_engine_trie_cache_evictions_total", "Trie-cache capacity evictions.",
+	engCounter("faqd_engine_trie_cache_evictions_total", "Trie-cache capacity evictions (always 0: caches live as long as their query).",
 		func(e core.EngineStats) int64 { return e.TrieCacheEvictions })
-	engGauge("faqd_engine_trie_cache_entries", "Current trie-cache population.",
-		func(e core.EngineStats) int64 { return e.TrieCacheEntries })
 
 	if s.store != nil {
 		st := s.store

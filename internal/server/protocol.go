@@ -442,14 +442,14 @@ type EngineStatz struct {
 	DeltaRingRuns   int64 `json:"delta_ring_runs"`
 	DeltaBlockRuns  int64 `json:"delta_block_runs"`
 	DeltaRecomputes int64 `json:"delta_recomputes"`
-	// TrieCache* mirror the engine-wide versioned trie cache: lookup
-	// outcomes, entries dropped by factor updates, capacity evictions and
-	// the current population.
+	// TrieCache* sum the lookups of every prepared query's own trie cache:
+	// lookup outcomes and entries dropped by factor updates.  Evictions is
+	// always 0 — a query's cache lives as long as the query and has no
+	// capacity bound — and stays for existing readers.
 	TrieCacheHits          int64 `json:"trie_cache_hits"`
 	TrieCacheMisses        int64 `json:"trie_cache_misses"`
 	TrieCacheInvalidations int64 `json:"trie_cache_invalidations"`
 	TrieCacheEvictions     int64 `json:"trie_cache_evictions"`
-	TrieCacheEntries       int64 `json:"trie_cache_entries"`
 }
 
 // ServerStatz are the HTTP-level counters.  InFlight excludes the

@@ -380,7 +380,6 @@ func (s *Server) Statsz() StatszResponse {
 			TrieCacheMisses:        es.TrieCacheMisses,
 			TrieCacheInvalidations: es.TrieCacheInvalidations,
 			TrieCacheEvictions:     es.TrieCacheEvictions,
-			TrieCacheEntries:       es.TrieCacheEntries,
 		},
 		Server: sv,
 	}
