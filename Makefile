@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-baseline bench-layout bench-serving bench-wire bench-delta bench-store bench-obs bench-radix bench-batch serve-smoke obs-smoke fuzz fuzz-delta fuzz-store fuzz-radix fuzz-wire lint doccheck fmt-check
+.PHONY: ci vet build test race bench bench-baseline bench-layout bench-serving bench-wire bench-delta bench-store bench-obs bench-radix bench-batch serve-smoke obs-smoke fuzz fuzz-delta fuzz-store fuzz-radix fuzz-wire fuzz-spec lint doccheck fmt-check
 
 # Full local CI pass: what .github/workflows/ci.yml runs.
 ci: lint build test race bench serve-smoke obs-smoke
@@ -152,3 +152,9 @@ fuzz-store:
 fuzz-wire:
 	$(GO) test -run '^$$' -fuzz FuzzBatchDecode -fuzztime 5s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzResultFrameRoundTrip -fuzztime 5s ./internal/wire/
+
+# Spec fuzz smoke: arbitrary bytes through the spec parser and every domain
+# builder must yield an error or a query that passes Validate, never a
+# panic (CI runs this as a blocking step, beside fuzz-wire).
+fuzz-spec:
+	$(GO) test -run '^$$' -fuzz FuzzSpecParse -fuzztime 5s ./internal/spec/

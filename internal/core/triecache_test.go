@@ -10,6 +10,7 @@ import (
 	"github.com/faqdb/faq/internal/factor"
 	"github.com/faqdb/faq/internal/join"
 	"github.com/faqdb/faq/internal/semiring"
+	"github.com/faqdb/faq/internal/sortx"
 )
 
 // cacheTriangle builds a triangle-count query over random edge sets.
@@ -208,6 +209,40 @@ func TestScalarTriangleTrieBuilds(t *testing.T) {
 		}
 		if math.Float64bits(want) != math.Float64bits(cold.Scalar()) {
 			t.Fatalf("workers=%d: triangle sum %v, brute force %v", workers, cold.Scalar(), want)
+		}
+		eng.Close()
+	}
+}
+
+// TestTriangleBuildsTriesWithoutSorting: the planners break width ties
+// toward ascending variable id, the order factors store their columns in,
+// so a cold Run of the triangle builds every trie in one pass over the
+// stored rows.  A permuted build would re-sort its rows and move one of the
+// process-wide sort counters; the counters are read around Prepare and the
+// cold Run, so this test must not run in parallel with others.
+func TestTriangleBuildsTriesWithoutSorting(t *testing.T) {
+	q := cacheTriangle(71, 64, 3000) // ≥ sortx.RadixMinRows rows per factor
+	for _, workers := range []int{1, 2} {
+		eng := NewEngine[float64](EngineOptions{Workers: workers})
+		radix, comparison := sortx.RadixSorts(), sortx.ComparisonSorts()
+		prep, err := eng.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := prep.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dr, dc := sortx.RadixSorts()-radix, sortx.ComparisonSorts()-comparison; dr != 0 || dc != 0 {
+			t.Fatalf("workers=%d: plan %v; cold run did %d radix and %d comparison sorts, want 0 and 0",
+				workers, prep.Plan().Order, dr, dc)
+		}
+		want, err := BruteForceScalar(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(want) != math.Float64bits(res.Scalar()) {
+			t.Fatalf("workers=%d: triangle sum %v, brute force %v", workers, res.Scalar(), want)
 		}
 		eng.Close()
 	}

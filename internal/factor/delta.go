@@ -10,6 +10,7 @@ package factor
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"github.com/faqdb/faq/internal/semiring"
 )
@@ -285,6 +286,8 @@ func (f *Factor[V]) Add(d *semiring.Domain[V], combine func(a, b V) V, g *Factor
 // [lo, hi).  Filtering preserves the sorted row order, so the result block
 // needs no re-sort; this is the slicing primitive behind affected-block
 // re-execution, where v is the partition variable of the block layout.
+// When v is the leading column the matching rows are one contiguous span,
+// found by binary search and copied whole; other columns are scanned.
 func (f *Factor[V]) RestrictRange(v int, lo, hi int32) *Factor[V] {
 	pos := f.VarPos(v)
 	if pos < 0 {
@@ -292,6 +295,18 @@ func (f *Factor[V]) RestrictRange(v int, lo, hi int32) *Factor[V] {
 	}
 	out := &Factor[V]{Vars: append([]int(nil), f.Vars...)}
 	k := len(f.Vars)
+	if pos == 0 {
+		n := len(f.Values)
+		from := sort.Search(n, func(i int) bool { return f.rows[i*k] >= lo })
+		to := from + sort.Search(n-from, func(i int) bool { return f.rows[(from+i)*k] >= hi })
+		if to > from {
+			out.rows = make([]int32, (to-from)*k)
+			copy(out.rows, f.rows[from*k:to*k])
+			out.Values = make([]V, to-from)
+			copy(out.Values, f.Values[from:to])
+		}
+		return out
+	}
 	for i := 0; i < len(f.Values); i++ {
 		x := f.rows[i*k+pos]
 		if x < lo || x >= hi {

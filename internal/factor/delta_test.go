@@ -2,6 +2,9 @@ package factor
 
 import (
 	"errors"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/faqdb/faq/internal/semiring"
@@ -149,6 +152,7 @@ func TestRestrictRangeAndKeyRange(t *testing.T) {
 	if f.RestrictRange(1, 2, 3).Size() != 1 {
 		t.Fatal("RestrictRange on the second column failed")
 	}
+	checkRestrictRange(t, f, -1, 4)
 
 	dl := Delta[float64]{Op: DeltaDelete, Rows: []int32{2, 1, 0, 0}}
 	lo, hi, ok := dl.KeyRange([]int{0, 1}, 0, 2)
@@ -165,5 +169,69 @@ func TestRestrictRangeAndKeyRange(t *testing.T) {
 	empty := Delta[float64]{Op: DeltaDelete}
 	if _, _, ok := empty.KeyRange([]int{0, 1}, 0, 2); ok {
 		t.Fatal("KeyRange accepted an empty batch")
+	}
+}
+
+// restrictScan is the row-by-row filter RestrictRange performs on columns
+// other than the leading one; the leading-column binary search must agree
+// with it bit for bit.
+func restrictScan(f *Factor[float64], v int, lo, hi int32) *Factor[float64] {
+	pos, k := f.VarPos(v), f.Arity()
+	out := &Factor[float64]{Vars: append([]int(nil), f.Vars...)}
+	for i := 0; i < f.Size(); i++ {
+		if x := f.rows[i*k+pos]; x >= lo && x < hi {
+			out.rows = append(out.rows, f.rows[i*k:i*k+k]...)
+			out.Values = append(out.Values, f.Values[i])
+		}
+	}
+	return out
+}
+
+// checkRestrictRange compares RestrictRange with restrictScan on every
+// variable of f and every range [lo, hi) with min ≤ lo ≤ max and
+// lo-1 ≤ hi ≤ max+1, so empty, reversed, partial and whole ranges all occur.
+func checkRestrictRange(t *testing.T, f *Factor[float64], min, max int32) {
+	t.Helper()
+	for _, v := range f.Vars {
+		for lo := min; lo <= max; lo++ {
+			for hi := lo - 1; hi <= max+1; hi++ {
+				got, want := f.RestrictRange(v, lo, hi), restrictScan(f, v, lo, hi)
+				sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+				if !slices.Equal(got.Vars, want.Vars) || !slices.Equal(got.rows, want.rows) ||
+					!slices.EqualFunc(got.Values, want.Values, sameBits) {
+					t.Fatalf("RestrictRange(%d, %d, %d) on %v = %v, scan %v", v, lo, hi, f, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestRestrictRangeMatchesScan runs checkRestrictRange over random factors
+// of arity 1 to 3 whose leading column repeats, so the binary search meets
+// long runs of equal keys, gaps and both ends of the block.
+func TestRestrictRangeMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	d := semiring.Float()
+	for trial := 0; trial < 60; trial++ {
+		arity := 1 + trial%3
+		vars := make([]int, arity)
+		for i := range vars {
+			vars[i] = 3*i + 1
+		}
+		var tuples [][]int
+		var values []float64
+		for r := rng.Intn(40); r > 0; r-- {
+			tup := make([]int, arity)
+			for i := range tup {
+				tup[i] = rng.Intn(6)
+			}
+			tuples = append(tuples, tup)
+			values = append(values, rng.NormFloat64())
+		}
+		f, err := New(d, vars, tuples, values, func(a, _ float64) float64 { return a })
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRestrictRange(t, f, -1, 6)
 	}
 }

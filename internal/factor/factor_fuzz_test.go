@@ -146,6 +146,8 @@ func FuzzFactorNew(f *testing.F) {
 			t.Fatalf("NewRows diverged from New:\n%v\n%v", gotFlat, got)
 		}
 
+		checkRestrictRange(t, got, -1, 9)
+
 		// Duplicate detection without a combiner must agree too.
 		_, _, wantDup := refNew(vars, tuples, values, nil)
 		_, err = New(fd, vars, tuples, values, nil)

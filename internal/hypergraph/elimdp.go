@@ -27,6 +27,15 @@ var ErrTooLarge = errors.New("hypergraph: state space too large for exact elimin
 // with Cost = ρ* it computes fhtw (Corollary 4.13); with the poset
 // restriction it computes faqw(φ) over LinEx(P) (Corollary 6.14).
 //
+// Ties go to the highest vertex id: among candidates of equal cost the
+// last one visited (candidates are visited in ascending id) is eliminated
+// first.  σ lists vertices in reverse elimination order, so this keeps σ as
+// close to ascending id as the optimal cost allows, and ascending id is the
+// order every factor stores its columns in: the join builds each trie in
+// one pass over the stored rows instead of permuting and re-sorting them.
+// The rule only chooses among orderings of equal cost, so the optimum is
+// unchanged.
+//
 // The DP memoizes on the set of remaining vertices.  This is sound because
 // the edge multiset reached after eliminating a set of vertices does not
 // depend on the order of elimination (product vertices only shrink edges;
@@ -112,7 +121,7 @@ func (dp *ElimDP) solve(remaining bitset.Set, edges []bitset.Set, memo map[strin
 		if sub > c {
 			c = sub
 		}
-		if c < best {
+		if c <= best { // <=: ties go to the highest id (see ElimDP)
 			best = c
 			bestV = v
 		}
@@ -151,9 +160,10 @@ func eliminate(edges []bitset.Set, v int, product bool) (bitset.Set, []bitset.Se
 
 // GreedyOrder builds a vertex ordering heuristically: at each step it
 // eliminates the allowed vertex with the smallest score(v, U_v) under the
-// current hypergraph.  It returns the ordering (listing order) and the
-// realized minimax cost under Cost.  Score and Cost may differ (e.g. min-fill
-// score with ρ* cost).
+// current hypergraph, the highest id among equal scores (as in ElimDP, so
+// the ordering stays close to the factors' ascending stored column order).
+// It returns the ordering (listing order) and the realized minimax cost
+// under Cost.  Score and Cost may differ (e.g. min-fill score with ρ* cost).
 func GreedyOrder(h *Hypergraph, score, cost func(v int, u bitset.Set) float64,
 	product bitset.Set, allowed func(remaining bitset.Set, v int) bool) ([]int, float64) {
 
@@ -174,7 +184,7 @@ func GreedyOrder(h *Hypergraph, score, cost func(v int, u bitset.Set) float64,
 				return
 			}
 			u, child := eliminate(edges, v, product.Contains(v))
-			if s := score(v, u); s < bestScore {
+			if s := score(v, u); s <= bestScore { // <=: ties go to the highest id
 				bestScore = s
 				bestV = v
 				bestU = u

@@ -3,6 +3,7 @@ package hypergraph
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/faqdb/faq/internal/bitset"
@@ -224,5 +225,64 @@ func BenchmarkFHTWGrid3x3(b *testing.B) {
 		if v, _ := w.FHTW(); v < 1 {
 			b.Fatal("bogus width")
 		}
+	}
+}
+
+// TestPlannersBreakTiesTowardAscendingOrder pins the tie rule of ElimDP and
+// GreedyOrder: among equal-cost candidates the highest id is eliminated
+// first, so on these shapes every optimal ordering σ comes out ascending —
+// the order factors store their columns in.  "free0" forbids eliminating
+// vertex 0 before every other vertex is gone (a free variable, listed first).
+func TestPlannersBreakTiesTowardAscendingOrder(t *testing.T) {
+	free0 := func(rem bitset.Set, v int) bool { return v != 0 || rem.Len() == 1 }
+	cases := []struct {
+		name    string
+		h       *Hypergraph
+		allowed func(bitset.Set, int) bool
+		width   float64
+	}{
+		{"triangle", Cycle(3), nil, 1.5},
+		{"triangle x-free", Cycle(3), free0, 1.5},
+		{"P6", Path(6), nil, 1},
+		{"S4", Star(4), nil, 1},
+		{"C5", Cycle(5), nil, 2},
+		{"C5 v0-free", Cycle(5), free0, 2},
+		{"K4", Clique(4), nil, 2},
+	}
+	for _, c := range cases {
+		w := NewWidthCalc(c.h)
+		cost := func(v int, u bitset.Set) float64 { return w.RhoStar(u) }
+		want := make([]int, c.h.N)
+		for i := range want {
+			want[i] = i
+		}
+		dp := &ElimDP{H: c.h, Cost: cost, Allowed: c.allowed}
+		val, order, err := dp.Solve()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !approx(val, c.width) || !reflect.DeepEqual(order, want) {
+			t.Errorf("%s: ElimDP = %v, σ = %v; want %v, σ = %v", c.name, val, order, c.width, want)
+		}
+		order, val = GreedyOrder(c.h, cost, cost, bitset.Set{}, c.allowed)
+		if !approx(val, c.width) || !reflect.DeepEqual(order, want) {
+			t.Errorf("%s: GreedyOrder = %v, σ = %v; want %v, σ = %v", c.name, val, order, c.width, want)
+		}
+	}
+}
+
+// TestElimDPInfiniteCostIsNotAnError: a state whose every allowed
+// candidate costs +Inf still has an ordering (of cost +Inf); the "no vertex
+// may be eliminated" error is reserved for states with no allowed
+// candidate.
+func TestElimDPInfiniteCostIsNotAnError(t *testing.T) {
+	dp := &ElimDP{H: Path(3), Cost: func(int, bitset.Set) float64 { return math.Inf(1) }}
+	val, order, err := dp.Solve()
+	if err != nil || !math.IsInf(val, 1) || !reflect.DeepEqual(order, []int{0, 1, 2}) {
+		t.Fatalf("Solve = %v, %v, %v; want +Inf, [0 1 2], nil", val, order, err)
+	}
+	dp = &ElimDP{H: Path(3), Cost: dp.Cost, Allowed: func(bitset.Set, int) bool { return false }}
+	if _, _, err := dp.Solve(); err == nil {
+		t.Fatal("Solve with no allowed vertex succeeded")
 	}
 }

@@ -140,8 +140,12 @@ func sortRowOrder(rows []int32, k, n int) []int {
 // buildLevels fills the CSR levels from a sorted unique row block in one
 // pass: for each row, levels above the longest common prefix with the
 // previous row get a new node, and each new node records where its children
-// begin in the level below.
+// begin in the level below.  Rows are unique, so the leaf level holds
+// exactly n keys and is allocated once at that size.
 func (t *trie[V]) buildLevels(rows []int32, k, n int) {
+	if k > 0 {
+		t.levels[k-1].keys = make([]int32, 0, n)
+	}
 	for r := 0; r < n; r++ {
 		row := rows[r*k : r*k+k]
 		c := 0
