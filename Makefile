@@ -155,6 +155,9 @@ fuzz-wire:
 
 # Spec fuzz smoke: arbitrary bytes through the spec parser and every domain
 # builder must yield an error or a query that passes Validate, never a
-# panic (CI runs this as a blocking step, beside fuzz-wire).
+# panic, and the parser must agree with the retired line-scanner parser
+# kept in differential_test.go (CI runs this as a blocking step, beside
+# fuzz-wire).
 fuzz-spec:
 	$(GO) test -run '^$$' -fuzz FuzzSpecParse -fuzztime 5s ./internal/spec/
+	$(GO) test -run '^$$' -fuzz FuzzSpecDifferential -fuzztime 5s ./internal/spec/

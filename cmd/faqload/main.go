@@ -935,7 +935,7 @@ func buildWorkload(name string, dom int) (workload, error) {
 		return w, fmt.Errorf("unknown shape %q (want triangle, triangle-fresh, star, chain, triangle-int, triangle-tropical, triangle-delta or triangle-dataset)", name)
 	}
 
-	q, err := spec.Parse(strings.NewReader(w.spec))
+	q, err := parseFloatSpec(w.spec)
 	if err != nil {
 		return w, fmt.Errorf("shape %s: %v", name, err)
 	}
@@ -955,6 +955,16 @@ func buildWorkload(name string, dom int) (workload, error) {
 	}
 	w.verify = floatVerifier(want)
 	return w, nil
+}
+
+// parseFloatSpec parses a float-domain spec and builds its query.
+func parseFloatSpec(text string) (*core.Query[float64], error) {
+	doc, err := spec.ParseDocument(strings.NewReader(text))
+	if err != nil {
+		return nil, err
+	}
+	q, _, err := doc.BuildFloat()
+	return q, err
 }
 
 // intWorkload builds an int-domain workload verified against the int64
@@ -1050,7 +1060,7 @@ func deltaWorkload(name string, dom int) (workload, error) {
 		{Factor: 1, Op: "delete", Tuples: tuples},
 	}
 
-	q, err := spec.Parse(strings.NewReader(w.spec))
+	q, err := parseFloatSpec(w.spec)
 	if err != nil {
 		return w, fmt.Errorf("shape %s: %v", name, err)
 	}
@@ -1175,7 +1185,7 @@ func datasetName(dom int) string { return fmt.Sprintf("faqload-tri-%d", dom) }
 func datasetWorkload(name string, dom int) (workload, error) {
 	dsName := datasetName(dom)
 	w := workload{name: name, spec: datasetTriangleSpec(dsName, dom), wireDom: wire.DomainFloat}
-	q, err := spec.Parse(strings.NewReader(triangleSpec(dom)))
+	q, err := parseFloatSpec(triangleSpec(dom))
 	if err != nil {
 		return w, fmt.Errorf("shape %s: %v", name, err)
 	}

@@ -43,8 +43,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		q, err := spec.Parse(f)
+		doc, err := spec.ParseDocument(f)
 		f.Close()
+		if err != nil {
+			log.Fatal(err)
+		}
+		q, _, err := doc.BuildFloat()
 		if err != nil {
 			log.Fatal(err)
 		}

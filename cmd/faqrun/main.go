@@ -111,8 +111,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	q, err := spec.Parse(f)
+	doc, err := spec.ParseDocument(f)
 	f.Close()
+	if err != nil {
+		return fail(err)
+	}
+	q, _, err := doc.BuildFloat()
 	if err != nil {
 		return fail(err)
 	}

@@ -51,9 +51,13 @@ func triangleSpec(dom, nfree int, shift float64) string {
 // path — the oracle the server must match bit-for-bit.
 func solveSpec(t *testing.T, specText string) *core.Result[float64] {
 	t.Helper()
-	q, err := spec.Parse(strings.NewReader(specText))
+	doc, err := spec.ParseDocument(strings.NewReader(specText))
 	if err != nil {
 		t.Fatalf("oracle parse: %v", err)
+	}
+	q, _, err := doc.BuildFloat()
+	if err != nil {
+		t.Fatalf("oracle build: %v", err)
 	}
 	opts := core.DefaultOptions()
 	opts.Workers = 1

@@ -184,8 +184,9 @@ func TestBuildRequiresMatchingDomain(t *testing.T) {
 	if _, _, err := doc.BuildFloat(); err == nil {
 		t.Fatal("BuildFloat accepted an int document")
 	}
-	if _, err := Parse(strings.NewReader("domain int\nvar a 2 sum\nfactor a\n0 = 1\nend\n")); err == nil {
-		t.Fatal("float-only Parse accepted an int document")
+	_, err = parseFloat("domain int\nvar a 2 sum\nfactor a\n0 = 1\nend\n")
+	if err == nil || !strings.Contains(err.Error(), `"int"`) {
+		t.Fatalf("float-only parse of an int document: err = %v, want one naming the domain", err)
 	}
 }
 
@@ -195,7 +196,7 @@ func TestBuildRequiresMatchingDomain(t *testing.T) {
 // serves both value types through core.Retype.
 func TestIntFloatShapeKeysMatch(t *testing.T) {
 	text := "var x 4 free\nvar y 4 sum\nvar z 4 max\nfactor x y\n0 0 = 1\nend\nfactor y z\n0 0 = 1\nend\n"
-	qf, err := Parse(strings.NewReader(text))
+	qf, err := parseFloat(text)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,16 +42,29 @@
 // (BuildFloat, BuildInt, BuildBool, BuildTropical) instantiate a typed
 // core.Query from it.  The split is what multi-domain serving dispatches
 // on: faqd parses once, reads Document.Domain, and routes to the engine
-// handle of the matching value type.
+// handle of the matching value type.  ParseDocument is the only parser.
+//
+// Listed tuples go straight into the data plane's representation.  The
+// text is read once into one string and tokenised in place: tokens split
+// on whitespace exactly as strings.Fields splits them, rows land in one
+// flat []int32 block per factor (a tuple value outside the int32 range is
+// a spec:<line> error), and value tokens are substrings of the text.  A
+// build permutes each block once into the stored column order and hands
+// it to factor.NewRows.  No line length is capped here; faqd bounds the
+// whole spec by its request body limit (MaxBodyBytes).
 package spec
 
 import (
-	"bufio"
+	"cmp"
+	"errors"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"github.com/faqdb/faq/internal/core"
 	"github.com/faqdb/faq/internal/factor"
@@ -89,6 +102,8 @@ type Document struct {
 	Vars []VarDecl
 	// Blocks are the factor blocks in declaration order.
 	Blocks []FactorBlock
+
+	src string // the parsed text; Blocks' value tokens point into it
 }
 
 // VarDecl is one var line.
@@ -113,41 +128,62 @@ type FactorBlock struct {
 	// VarIDs are the corresponding variable indices (positions in
 	// Document.Vars), parallel to Vars.
 	VarIDs []int
-	// Tuples are the data rows, columns in declaration order.
-	Tuples [][]int
-	// Values are the raw value tokens, parallel to Tuples.
+	// Rows are the data rows as one flat row-major block, len(Vars)
+	// cells per row, columns in declaration order and rows in listing
+	// order.
+	Rows []int32
+	// Values are the raw value tokens, one per row, as substrings of the
+	// parsed text.
 	Values []string
 	// Ref is the dataset factor reference of an @<ref> block ("" for an
 	// inline block, the token after '@' otherwise).  Ref blocks carry no
-	// Tuples or Values; their data is resolved at build time.
+	// Rows or Values; their data is resolved at build time.
 	Ref string
-	// Line is the source line of the factor directive; ValueLines are the
-	// source lines of the data rows, for error messages.
-	Line       int
-	ValueLines []int
+	// Line is the source line of the factor directive, for error
+	// messages.
+	Line int
 }
 
 // ParseDocument reads a spec into its untyped Document form, checking
-// syntax and structure (declaration order, arity, known variables) but not
-// domain semantics: aggregate lawfulness and value grammar are checked by
-// the Build methods, which know the value algebra.
+// syntax and structure (declaration order, arity, known variables, the
+// int32 range of tuple values) but not domain semantics: aggregate
+// lawfulness and value grammar are checked by the Build methods, which
+// know the value algebra.
 func ParseDocument(r io.Reader) (*Document, error) {
-	doc := &Document{Domain: DomainFloat}
+	var sb strings.Builder
+	if _, err := io.Copy(&sb, r); err != nil {
+		return nil, err
+	}
+	return parse(sb.String())
+}
+
+// errTupleRange marks a listed tuple value outside the int32 range the
+// data plane stores.
+var errTupleRange = errors.New("tuple value outside the int32 range")
+
+// parse is ParseDocument over the whole text.  Lines are cut with
+// IndexByte and tokenised in place, every token a substring of src; the
+// rows of all blocks share one flat arena that each block slices at the
+// end, so a listed tuple costs no allocation of its own.
+func parse(src string) (*Document, error) {
+	doc := &Document{Domain: DomainFloat, src: src}
 	names := map[string]int{}
 	numFree := 0
 	sawDomain := false
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
+	var (
+		fields []string // the current line's tokens, reused line to line
+		rows   []int32  // every inline block's cells, in declaration order
+		values []string // every inline block's value tokens
+		starts []int    // per block: the index in values of its first row
+	)
 
 	lineNo := 0
 	var blk *FactorBlock // nil when outside a factor block
-	for sc.Scan() {
+	for rest := src; rest != ""; {
+		var line string
+		line, rest = nextLine(rest)
 		lineNo++
-		line := sc.Text()
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		fields := strings.Fields(line)
+		fields = appendFields(fields[:0], stripComment(line))
 		if len(fields) == 0 {
 			continue
 		}
@@ -227,6 +263,7 @@ func ParseDocument(r io.Reader) (*Document, error) {
 				return nil, fmt.Errorf("spec:%d: factor needs at least one variable", lineNo)
 			}
 			blk = &FactorBlock{Line: lineNo, Ref: ref}
+			starts = append(starts, len(values))
 			for _, name := range varNames {
 				v, ok := names[name]
 				if !ok {
@@ -251,6 +288,7 @@ func ParseDocument(r io.Reader) (*Document, error) {
 			if blk == nil {
 				return nil, fmt.Errorf("spec:%d: unexpected %q outside a factor block", lineNo, fields[0])
 			}
+			k := len(blk.Vars)
 			eq := -1
 			for i, f := range fields {
 				if f == "=" {
@@ -258,29 +296,85 @@ func ParseDocument(r io.Reader) (*Document, error) {
 					break
 				}
 			}
-			if eq != len(blk.Vars) || len(fields) != eq+2 {
-				return nil, fmt.Errorf("spec:%d: want '%d values = weight'", lineNo, len(blk.Vars))
+			if eq != k || len(fields) != eq+2 {
+				return nil, fmt.Errorf("spec:%d: want '%d values = weight'", lineNo, k)
 			}
-			tup := make([]int, len(blk.Vars))
-			for i := range tup {
-				x, err := strconv.Atoi(fields[i])
+			for _, tok := range fields[:k] {
+				x, err := strconv.Atoi(tok)
 				if err != nil {
-					return nil, fmt.Errorf("spec:%d: bad value %q", lineNo, fields[i])
+					return nil, fmt.Errorf("spec:%d: bad value %q", lineNo, tok)
 				}
-				tup[i] = x
+				if x < math.MinInt32 || x > math.MaxInt32 {
+					return nil, fmt.Errorf("spec:%d: %w: %q", lineNo, errTupleRange, tok)
+				}
+				rows = append(rows, int32(x))
 			}
-			blk.Tuples = append(blk.Tuples, tup)
-			blk.Values = append(blk.Values, fields[eq+1])
-			blk.ValueLines = append(blk.ValueLines, lineNo)
+			values = append(values, fields[k+1])
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
 	}
 	if blk != nil {
 		return nil, fmt.Errorf("spec: unterminated factor block")
 	}
+	cell := 0 // the index in rows of the current block's first cell
+	for i := range doc.Blocks {
+		b := &doc.Blocks[i]
+		lo, hi := starts[i], len(values)
+		if i+1 < len(starts) {
+			hi = starts[i+1]
+		}
+		end := cell + (hi-lo)*len(b.Vars)
+		b.Rows = rows[cell:end:end]
+		b.Values = values[lo:hi:hi]
+		cell = end
+	}
 	return doc, nil
+}
+
+// nextLine cuts the first line off text, dropping its '\n'.  A trailing
+// '\r' stays: it is whitespace to appendFields, as to strings.Fields.
+func nextLine(text string) (line, rest string) {
+	if i := strings.IndexByte(text, '\n'); i >= 0 {
+		return text[:i], text[i+1:]
+	}
+	return text, ""
+}
+
+// stripComment drops everything from the first '#'.
+func stripComment(line string) string {
+	if i := strings.IndexByte(line, '#'); i >= 0 {
+		return line[:i]
+	}
+	return line
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// appendFields appends line's tokens to dst exactly as strings.Fields
+// splits them, as substrings of line.  ASCII lines split in place; a line
+// holding any other byte goes to strings.Fields itself, whose Unicode
+// spaces (U+0085, U+00A0, ...) and invalid-UTF-8 rules then apply.
+func appendFields(dst []string, line string) []string {
+	n := len(dst)
+	start := -1
+	for i := 0; i < len(line); i++ {
+		c := line[i]
+		if c >= utf8.RuneSelf {
+			return append(dst[:n], strings.Fields(line)...)
+		}
+		if asciiSpace[c] {
+			if start >= 0 {
+				dst = append(dst, line[start:i])
+				start = -1
+			}
+		} else if start < 0 {
+			start = i
+		}
+	}
+	if start >= 0 {
+		dst = append(dst, line[start:])
+	}
+	return dst
 }
 
 // Resolver supplies the factor data of an @<ref> block from an external
@@ -317,7 +411,11 @@ func (doc *Document) NumFree() int {
 
 // BuildFloat instantiates the document over the real domain (float64, ·)
 // with sum/max aggregates.  The layout result holds each factor's
-// variables in declaration order (see ParseLayout).  An optional Resolver
+// variables in declaration order, the column order of its data lines:
+// factors in the query carry sorted variables with permuted rows, and
+// callers accepting out-of-band data in spec column order (the faqd
+// `factors` request field and binary factor frames) need the declared
+// layout to apply the same permutation.  An optional Resolver
 // supplies the data of @<ref> blocks; without one, reference blocks are a
 // build error.
 func (doc *Document) BuildFloat(resolve ...Resolver[float64]) (*core.Query[float64], [][]int, error) {
@@ -370,10 +468,12 @@ func (doc *Document) requireDomain(want string) error {
 }
 
 // buildQuery instantiates a Document over one value algebra: aggregates
-// through aggOf, value tokens through parseVal, tuples permuted from
-// declaration order to the sorted variable order factors store — exactly
-// the permutation faqd applies to out-of-band factor data, so inline and
-// shipped data mean the same thing.
+// through aggOf, value tokens through parseVal, and each inline block's
+// rows permuted once, from declaration order to the sorted variable order
+// factors store, into the fresh row block factor.NewRows takes over.  It
+// is the permutation faqd applies to out-of-band factor data, so inline
+// and shipped data mean the same thing.  The document is not modified:
+// one Document may be built in several domains.
 func buildQuery[V any](doc *Document, d *semiring.Domain[V],
 	aggOf func(string) (core.Aggregate[V], error),
 	parseVal func(string) (V, error), resolve Resolver[V]) (*core.Query[V], [][]int, error) {
@@ -389,12 +489,13 @@ func buildQuery[V any](doc *Document, d *semiring.Domain[V],
 		q.Aggs = append(q.Aggs, agg)
 	}
 	layout := make([][]int, 0, len(doc.Blocks))
-	for _, blk := range doc.Blocks {
+	for bi := range doc.Blocks {
+		blk := &doc.Blocks[bi]
 		perm := make([]int, len(blk.VarIDs))
 		for i := range perm {
 			perm[i] = i
 		}
-		sort.Slice(perm, func(a, b int) bool { return blk.VarIDs[perm[a]] < blk.VarIDs[perm[b]] })
+		slices.SortFunc(perm, func(a, b int) int { return cmp.Compare(blk.VarIDs[a], blk.VarIDs[b]) })
 		sortedVars := make([]int, len(perm))
 		for i, p := range perm {
 			sortedVars[i] = blk.VarIDs[p]
@@ -422,23 +523,23 @@ func buildQuery[V any](doc *Document, d *semiring.Domain[V],
 			layout = append(layout, blk.VarIDs)
 			continue
 		}
-		tuples := make([][]int, len(blk.Tuples))
-		for i, raw := range blk.Tuples {
-			tup := make([]int, len(perm))
-			for j, p := range perm {
-				tup[j] = raw[p]
-			}
-			tuples[i] = tup
-		}
 		values := make([]V, len(blk.Values))
 		for i, tok := range blk.Values {
 			v, err := parseVal(tok)
 			if err != nil {
-				return nil, nil, fmt.Errorf("spec:%d: bad %s weight %q", blk.ValueLines[i], doc.Domain, tok)
+				return nil, nil, fmt.Errorf("spec:%d: bad %s weight %q", doc.rowLine(blk, i), doc.Domain, tok)
 			}
 			values[i] = v
 		}
-		f, err := factor.New(d, sortedVars, tuples, values, nil)
+		k := len(perm)
+		rows := make([]int32, len(blk.Rows))
+		for r := 0; r < len(rows); r += k {
+			src, dst := blk.Rows[r:r+k], rows[r:r+k]
+			for j, p := range perm {
+				dst[j] = src[p]
+			}
+		}
+		f, err := factor.NewRows(d, sortedVars, rows, values, nil)
 		if err != nil {
 			return nil, nil, fmt.Errorf("spec:%d: %v", blk.Line, err)
 		}
@@ -451,34 +552,25 @@ func buildQuery[V any](doc *Document, d *semiring.Domain[V],
 	return q, layout, nil
 }
 
-// Parse reads a float-domain query specification; specs declaring another
-// domain are rejected with a pointer to the typed builders.  It is the
-// compatibility entry point of the float-only tools (faqrun, faqplan).
-func Parse(r io.Reader) (*core.Query[float64], error) {
-	q, _, err := ParseLayout(r)
-	return q, err
-}
-
-// ParseLayout is Parse, additionally returning each factor's variables in
-// *declaration order* (the column order of its data lines).  Factors in
-// the parsed query always carry sorted variables with permuted tuples;
-// callers accepting out-of-band data in spec column order (the faqd
-// `factors` request field and binary factor frames) need the declared
-// layout to apply the same permutation.
-func ParseLayout(r io.Reader) (*core.Query[float64], [][]int, error) {
-	doc, err := ParseDocument(r)
-	if err != nil {
-		return nil, nil, err
+// rowLine returns the source line of data row i of blk: the i-th line
+// holding a token after the block's factor directive.  Rows carry no line
+// numbers of their own; only error messages need one, so the text is
+// walked again instead.
+func (doc *Document) rowLine(blk *FactorBlock, i int) int {
+	lineNo := 0
+	for rest := doc.src; rest != ""; {
+		var line string
+		line, rest = nextLine(rest)
+		lineNo++
+		if lineNo <= blk.Line || strings.TrimSpace(stripComment(line)) == "" {
+			continue
+		}
+		if i == 0 {
+			return lineNo
+		}
+		i--
 	}
-	if doc.Domain != DomainFloat {
-		builder := map[string]string{
-			DomainInt: "BuildInt", DomainBool: "BuildBool", DomainTropical: "BuildTropical",
-		}[doc.Domain]
-		return nil, nil, fmt.Errorf(
-			"spec: domain %q in a float-only context (use ParseDocument and %s)",
-			doc.Domain, builder)
-	}
-	return doc.BuildFloat()
+	return blk.Line
 }
 
 func floatAgg(s string) (core.Aggregate[float64], error) {

@@ -23,8 +23,19 @@ factor c b   # unsorted variable order
 end
 `
 
+// parseFloat parses a float-domain spec and builds it, the path the
+// float-only tools (faqrun, faqplan) take.
+func parseFloat(text string) (*core.Query[float64], error) {
+	doc, err := ParseDocument(strings.NewReader(text))
+	if err != nil {
+		return nil, err
+	}
+	q, _, err := doc.BuildFloat()
+	return q, err
+}
+
 func TestParseSample(t *testing.T) {
-	q, err := Parse(strings.NewReader(sample))
+	q, err := parseFloat(sample)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +88,7 @@ func TestParseErrors(t *testing.T) {
 		"uncovered variable": "var a 2 sum\nvar b 2 sum\nfactor a\n0 = 1\nend\n",
 	}
 	for name, input := range cases {
-		if _, err := Parse(strings.NewReader(input)); err == nil {
+		if _, err := parseFloat(input); err == nil {
 			t.Errorf("%s: expected an error", name)
 		}
 	}
@@ -93,7 +104,7 @@ factor a b
 1 0 = 1
 end
 `
-	q, err := Parse(strings.NewReader(input))
+	q, err := parseFloat(input)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +125,7 @@ end
 // the float spec format must fail at parse time with an error routing users
 // to the tropical semiring, instead of compiling to the unlawful OpFloatMin.
 func TestParseRejectsMinAggregate(t *testing.T) {
-	_, err := Parse(strings.NewReader("var a 2 min\nfactor a\n0 = 1\nend\n"))
+	_, err := parseFloat("var a 2 min\nfactor a\n0 = 1\nend\n")
 	if err == nil {
 		t.Fatal("spec with a min aggregate should fail to parse")
 	}
