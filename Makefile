@@ -123,8 +123,9 @@ bench-radix:
 	$(GO) test -run '^$$' -bench 'BenchmarkLayoutProjection' -benchtime 20x -benchmem -json ./internal/factor | tee -a BENCH_PR9.json
 	./scripts/faqd_harness.sh benchradix BENCH_PR9.json
 
-# Radix differential fuzz smoke: the packed-key kernel against the stable
-# comparison reference over arbitrary blocks (arity, sign bytes, cutoffs).
+# Radix differential fuzz smoke: the bit-span key kernel against the stable
+# comparison reference over arbitrary blocks (arity, sign bits, cutoffs);
+# CI runs this as a blocking step, beside fuzz-spec.
 fuzz-radix:
 	$(GO) test -run '^$$' -fuzz FuzzRadixArgsort -fuzztime 10s ./internal/sortx/
 

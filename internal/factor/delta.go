@@ -13,6 +13,7 @@ import (
 	"sort"
 
 	"github.com/faqdb/faq/internal/semiring"
+	"github.com/faqdb/faq/internal/sortx"
 )
 
 // Sentinel errors for delta validation, matched with errors.Is.
@@ -111,19 +112,14 @@ func (dl *Delta[V]) check(arity int, domSizes []int) (rows []int32, vals []V, er
 		}
 	}
 	order := argsortRows(dl.Rows, arity, n, true)
-	rows = make([]int32, 0, len(dl.Rows))
-	if dl.Op == DeltaInsert {
-		vals = make([]V, 0, n)
-	}
-	for i, o := range order {
-		row := dl.Rows[o*arity : o*arity+arity]
-		if i > 0 && compareRows(rows[(i-1)*arity:i*arity], row) == 0 {
+	rows = sortx.GatherRows(dl.Rows, arity, order)
+	for i := 1; i < n; i++ {
+		if row := rows[i*arity : i*arity+arity]; compareRows(rows[(i-1)*arity:i*arity], row) == 0 {
 			return nil, nil, fmt.Errorf("%w: row %v", ErrDeltaDup, tupleOfRow(row))
 		}
-		rows = append(rows, row...)
-		if dl.Op == DeltaInsert {
-			vals = append(vals, dl.Values[o])
-		}
+	}
+	if dl.Op == DeltaInsert {
+		vals = sortx.Gather(dl.Values, order)
 	}
 	return rows, vals, nil
 }

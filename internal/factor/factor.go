@@ -104,10 +104,10 @@ func checkVars(vars []int) error {
 
 // build finishes construction from a zero-free row block: rows are sorted
 // (stably, so duplicates keep input order and combine left to right exactly
-// as the map-based accumulation did), adjacent duplicates are folded with
-// combine, and zeros produced by combining are dropped.  Already strictly
-// sorted blocks — scan outputs emitted in lexicographic order — skip both
-// passes.
+// as the map-based accumulation did) and gathered into exact-size blocks,
+// adjacent duplicates are folded with combine, and zeros produced by
+// combining are dropped.  Already strictly sorted blocks — scan outputs
+// emitted in lexicographic order — skip all three passes.
 func build[V any](d *semiring.Domain[V], vars []int, rows []int32, values []V,
 	combine func(a, b V) V) (*Factor[V], error) {
 
@@ -116,26 +116,44 @@ func build[V any](d *semiring.Domain[V], vars []int, rows []int32, values []V,
 	if f.strictlySorted() {
 		return f, nil
 	}
-	n := len(values)
-	order := argsortRows(rows, k, n, true) // stable: duplicates fold in input order
-	sorted := make([]int32, 0, len(rows))
-	outVals := make([]V, 0, n)
-	for _, o := range order {
-		row := rows[o*k : o*k+k]
-		if m := len(outVals); m > 0 && compareRows(sorted[(m-1)*k:m*k], row) == 0 {
+	order := argsortRows(rows, k, len(values), true) // stable: duplicates fold in input order
+	f.rows = sortx.GatherRows(rows, k, order)
+	f.Values = sortx.Gather(values, order)
+	if err := f.foldDuplicates(combine); err != nil {
+		return nil, err
+	}
+	if combine != nil {
+		f.compact(d) // combining may have produced zeros (e.g. +1 and -1)
+	}
+	return f, nil
+}
+
+// foldDuplicates folds each run of equal adjacent rows of the sorted block
+// into its first row, combining values left to right; with a nil combine
+// any duplicate is an error.  Rows before the first duplicate stay put.
+func (f *Factor[V]) foldDuplicates(combine func(a, b V) V) error {
+	k := len(f.Vars)
+	w := 1 // rows [0, w) are kept and unique
+	for i := 1; i < len(f.Values); i++ {
+		row := f.rows[i*k : i*k+k]
+		if compareRows(f.rows[(w-1)*k:w*k], row) == 0 {
 			if combine == nil {
-				return nil, fmt.Errorf("factor: duplicate tuple %v", f.tupleOf(row))
+				return fmt.Errorf("factor: duplicate tuple %v", f.tupleOf(row))
 			}
-			outVals[m-1] = combine(outVals[m-1], values[o])
+			f.Values[w-1] = combine(f.Values[w-1], f.Values[i])
 			continue
 		}
-		sorted = append(sorted, row...)
-		outVals = append(outVals, values[o])
+		if w != i {
+			copy(f.rows[w*k:w*k+k], row)
+			f.Values[w] = f.Values[i]
+		}
+		w++
 	}
-	f.rows = sorted
-	f.Values = outVals
-	f.compact(d) // combining may have produced zeros (e.g. +1 and -1)
-	return f, nil
+	if w < len(f.Values) {
+		f.rows = f.rows[:w*k]
+		f.Values = f.Values[:w]
+	}
+	return nil
 }
 
 // MustNew is New that panics on error; for tests and literals.
@@ -188,19 +206,27 @@ func Scalar[V any](d *semiring.Domain[V], v V) *Factor[V] {
 	return f
 }
 
-// compact drops zero-valued rows in place.
+// compact drops zero-valued rows in place.  A block without zeros — every
+// scan output and most parsed data — is left untouched, and otherwise only
+// the rows after the first zero move.
 func (f *Factor[V]) compact(d *semiring.Domain[V]) {
+	w := 0
+	for w < len(f.Values) && !d.IsZero(f.Values[w]) {
+		w++
+	}
+	if w == len(f.Values) {
+		return
+	}
 	k := len(f.Vars)
-	keptRows := f.rows[:0]
-	keptVals := f.Values[:0]
-	for i, v := range f.Values {
-		if !d.IsZero(v) {
-			keptRows = append(keptRows, f.rows[i*k:i*k+k]...)
-			keptVals = append(keptVals, v)
+	for i := w + 1; i < len(f.Values); i++ {
+		if v := f.Values[i]; !d.IsZero(v) {
+			copy(f.rows[w*k:w*k+k], f.rows[i*k:i*k+k])
+			f.Values[w] = v
+			w++
 		}
 	}
-	f.rows = keptRows
-	f.Values = keptVals
+	f.rows = f.rows[:w*k]
+	f.Values = f.Values[:w]
 }
 
 // strictlySorted reports whether the block is already in strict ascending
@@ -401,7 +427,7 @@ func (f *Factor[V]) projectRows(keep []int) []int32 {
 // row index, so each group is contiguous and folds in original row order —
 // the same accumulation sequence the map-based grouping used.  A nil return
 // means rows are already grouped in place (order-preserving projection).
-func groupOrder(proj []int32, m, n int, prefix bool) []int {
+func groupOrder(proj []int32, m, n int, prefix bool) []int32 {
 	if prefix {
 		return nil
 	}
@@ -412,30 +438,30 @@ func groupOrder(proj []int32, m, n int, prefix bool) []int {
 // order; stable guarantees equal rows keep their input order (required
 // wherever duplicates fold in input order).  The work happens in the shared
 // packed-key radix kernel, which goes chunk-parallel on very large blocks.
-func argsortRows(rows []int32, k, n int, stable bool) []int {
+func argsortRows(rows []int32, k, n int, stable bool) []int32 {
 	return sortx.Argsort(rows, k, n, stable)
 }
 
 // foldGroups iterates the projected rows group by group (a group is a
 // maximal run of equal projected rows, visited in original row order) and
 // calls emit once per group with the group's row and member indices.
-func foldGroups(proj []int32, m, n int, order []int, emit func(row []int32, members []int)) {
+func foldGroups(proj []int32, m, n int, order []int32, emit func(row []int32, members []int32)) {
 	if n == 0 {
 		return
 	}
-	at := func(i int) int {
+	at := func(i int) int32 {
 		if order == nil {
-			return i
+			return int32(i)
 		}
 		return order[i]
 	}
-	var members []int
+	var members []int32
 	start := at(0)
-	cur := proj[start*m : start*m+m]
+	cur := proj[int(start)*m : int(start)*m+m]
 	members = append(members, start)
 	for i := 1; i < n; i++ {
 		o := at(i)
-		row := proj[o*m : o*m+m]
+		row := proj[int(o)*m : int(o)*m+m]
 		if compareRows(cur, row) == 0 {
 			members = append(members, o)
 			continue
@@ -457,7 +483,7 @@ func (f *Factor[V]) IndicatorProjection(d *semiring.Domain[V], onto []int) *Fact
 	n := f.Size()
 	proj := f.projectRows(keep)
 	order := groupOrder(proj, m, n, isPrefix(keep))
-	foldGroups(proj, m, n, order, func(row []int32, _ []int) {
+	foldGroups(proj, m, n, order, func(row []int32, _ []int32) {
 		out.rows = append(out.rows, row...)
 		out.Values = append(out.Values, d.One)
 	})
@@ -476,7 +502,7 @@ func (f *Factor[V]) ProductMarginalize(d *semiring.Domain[V], v, domSize int) *F
 	n := f.Size()
 	proj := f.projectRows(keep)
 	order := groupOrder(proj, m, n, isPrefix(keep))
-	foldGroups(proj, m, n, order, func(row []int32, members []int) {
+	foldGroups(proj, m, n, order, func(row []int32, members []int32) {
 		if len(members) < domSize {
 			return // an unlisted x_v is a zero entry: the product is zero
 		}
@@ -502,7 +528,7 @@ func (f *Factor[V]) Marginalize(d *semiring.Domain[V], op *semiring.Op[V], v int
 	n := f.Size()
 	proj := f.projectRows(keep)
 	order := groupOrder(proj, m, n, isPrefix(keep))
-	foldGroups(proj, m, n, order, func(row []int32, members []int) {
+	foldGroups(proj, m, n, order, func(row []int32, members []int32) {
 		acc := f.Values[members[0]]
 		for _, i := range members[1:] {
 			acc = op.Combine(acc, f.Values[i])
@@ -638,16 +664,9 @@ func (f *Factor[V]) sortUnique() {
 		return
 	}
 	k := len(f.Vars)
-	n := len(f.Values)
-	order := argsortRows(f.rows, k, n, false) // rows unique: no tie-break needed
-	rows := make([]int32, 0, len(f.rows))
-	values := make([]V, n)
-	for i, o := range order {
-		rows = append(rows, f.rows[o*k:o*k+k]...)
-		values[i] = f.Values[o]
-	}
-	f.rows = rows
-	f.Values = values
+	order := argsortRows(f.rows, k, len(f.Values), false) // rows unique: no tie-break needed
+	f.rows = sortx.GatherRows(f.rows, k, order)
+	f.Values = sortx.Gather(f.Values, order)
 }
 
 // Equal reports whether two factors define the same function (same variable

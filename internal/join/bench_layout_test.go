@@ -34,7 +34,7 @@ func layoutFactor(seed int64, vars []int, dom, n int) *factor.Factor[float64] {
 }
 
 // BenchmarkLayoutTrieBuildIdentity: join order visits columns in stored
-// order — the single-pass O(n) build from the sorted row block.
+// order — the O(n) build straight from the sorted row block, no re-sort.
 func BenchmarkLayoutTrieBuildIdentity(b *testing.B) {
 	f := layoutFactor(1, []int{0, 1}, 3000, 48000)
 	pos := map[int]int{0: 0, 1: 1}

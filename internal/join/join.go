@@ -9,16 +9,23 @@
 //
 // Tries are flat CSR structures, not pointer trees: each level is a pair of
 // parallel arrays — sorted child keys plus child-offset ranges into the next
-// level — built in one O(n) pass from the factor's already-sorted row block
-// (plus one re-sort when the join order permutes the factor's columns).
-// Candidate intersection walks the lead trie's key range and locates each
-// key in the other tries by galloping binary search, with a moving lower
-// bound per trie so a whole range scan stays O(k log gap).
+// level — built in two O(n) passes (count, then fill exact-size levels) from
+// the factor's already-sorted row block (plus one re-sort when the join
+// order permutes the factor's columns).  Candidate intersection walks the
+// lead trie's key range and locates each key in the other tries.  A probe
+// into a trie's first level — one sorted unique key set — is answered by
+// that level's rank index when the level is dense (see rankIndex): a
+// presence bitmap plus per-word prefix counts give the key's position with
+// one word load and a popcount.  Every other probe gallops (exponential
+// then binary search), with a moving lower bound per trie so a whole range
+// scan stays O(k log gap).  Both answer exactly the same position, so
+// results and probe counts do not depend on which one ran.
 package join
 
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync/atomic"
 
@@ -72,14 +79,65 @@ type trieLevel struct {
 type trie[V any] struct {
 	vars   []int // factor vars sorted by global position
 	levels []trieLevel
-	values []V // leaf values, one per row, in trie row order
+	values []V        // leaf values, one per row, in trie row order
+	rank   *rankIndex // over levels[0].keys when that level is dense, else nil
+}
+
+// denseMinKeys is the fewest first-level keys that get a rank index: below
+// it a gallop over the level is a handful of compares anyway.  A var so
+// tests can force the index onto small levels, or off everywhere.
+var denseMinKeys = 64
+
+// rankIndex answers probes into a dense sorted unique key set: bit x of
+// words is set iff key x is present, and ranks[w] counts the keys below
+// 64·w, so the position of any key is one word load and a popcount —
+// about 12 bytes per 64 key values.
+type rankIndex struct {
+	words []uint64
+	ranks []int32
+	n     int // number of keys
+}
+
+// newRankIndex indexes a sorted unique key set when it is dense: at least
+// denseMinKeys keys, none negative, and a maximum below 64·len + 64, so
+// the index is never more than three times the size of the keys.  It
+// returns nil otherwise.
+func newRankIndex(keys []int32) *rankIndex {
+	n := len(keys)
+	if n == 0 || n < denseMinKeys || keys[0] < 0 || int64(keys[n-1]) >= 64*int64(n)+64 {
+		return nil
+	}
+	ix := &rankIndex{words: make([]uint64, keys[n-1]>>6+1), n: n}
+	for _, k := range keys {
+		ix.words[k>>6] |= 1 << (uint32(k) & 63)
+	}
+	ix.ranks = make([]int32, len(ix.words))
+	c := int32(0)
+	for w, x := range ix.words {
+		ix.ranks[w] = c
+		c += int32(bits.OnesCount64(x))
+	}
+	return ix
+}
+
+// find returns the position of the first key >= key and whether it is an
+// exact match: the same answer as gallop over the whole key set.
+func (ix *rankIndex) find(key int32) (int, bool) {
+	if key < 0 {
+		return 0, false
+	}
+	w := int(key >> 6)
+	if w >= len(ix.words) {
+		return ix.n, false
+	}
+	word, bit := ix.words[w], uint32(key)&63
+	return int(ix.ranks[w]) + bits.OnesCount64(word&(1<<bit-1)), word>>bit&1 != 0
 }
 
 // buildTrie flattens f into CSR form along the global order.  When the join
-// order visits the factor's columns in their stored order the build is a
-// single pass over the sorted row block; otherwise the rows are permuted and
-// re-sorted first (rows stay unique under a column permutation, so the sort
-// is a strict total order and the result deterministic).
+// order visits the factor's columns in their stored order the levels are
+// built straight from the sorted row block; otherwise the rows are
+// permuted, re-sorted and gathered first.
 func buildTrie[V any](f *factor.Factor[V], pos map[int]int) (*trie[V], error) {
 	k := f.Arity()
 	order := make([]int, k) // positions within f.Vars, sorted by global order
@@ -108,6 +166,8 @@ func buildTrie[V any](f *factor.Factor[V], pos map[int]int) (*trie[V], error) {
 		return t, nil
 	}
 	// Permute columns into trie order, then re-sort the permuted block.
+	// Rows stay unique under a column permutation, so the unstable sort is
+	// a strict total order and the result deterministic.
 	perm := make([]int32, n*k)
 	for r := 0; r < n; r++ {
 		row := rows[r*k : r*k+k]
@@ -115,56 +175,76 @@ func buildTrie[V any](f *factor.Factor[V], pos map[int]int) (*trie[V], error) {
 			perm[r*k+i] = row[o]
 		}
 	}
-	rowOrder := sortRowOrder(perm, k, n)
-	sorted := make([]int32, 0, n*k)
-	t.values = make([]V, n)
-	for i, o := range rowOrder {
-		sorted = append(sorted, perm[o*k:o*k+k]...)
-		t.values[i] = f.Values[o]
-	}
-	t.buildLevels(sorted, k, n)
+	rowOrder := sortx.Argsort(perm, k, n, false)
+	t.values = sortx.Gather(f.Values, rowOrder)
+	t.buildLevels(sortx.GatherRows(perm, k, rowOrder), k, n)
 	return t, nil
 }
 
-// sortRowOrder argsorts n rows of width k lexicographically via the shared
-// packed-key radix kernel — arity-agnostic, so permuted builds at arity 3+
-// no longer fall back to a per-compare column loop.  Rows here are unique
-// (a column permutation of a unique block), so the unstable variant
-// suffices; it also retires this function's old k<=2 comparator, which
-// returned 1 for equal keys and so violated strict weak ordering on any
-// input with duplicate rows.
-func sortRowOrder(rows []int32, k, n int) []int {
-	return sortx.Argsort(rows, k, n, false)
+// buildLevels fills the CSR levels from a sorted unique row block: a
+// first pass counts each level's nodes and a second fills levels allocated
+// at exactly that size.  Row 0 starts a node at every level, and row r > 0
+// one at each level d where it differs from row r-1 in some column <= d;
+// each new node records where its children begin in the level below.  The
+// first level then gets its rank index when it is dense.
+//
+// Both passes are branch-free per row: the fill writes every row's key at
+// its level's next free slot and advances the slot only for a new node.
+// On skewed data whether a row opens a new prefix is unpredictable, and a
+// branch on it would mispredict often, in each pass.
+func (t *trie[V]) buildLevels(rows []int32, k, n int) {
+	if k == 0 {
+		return
+	}
+	m := k - 1 // non-leaf levels
+	count := make([]int32, m)
+	for r := 0; r < n; r++ {
+		at, prev, diff := r*k, (r-1)*k, int32(0)
+		if r == 0 {
+			prev, diff = 0, 1
+		}
+		for d := range count {
+			diff |= rows[at+d] ^ rows[prev+d]
+			count[d] += nonZero(diff)
+		}
+	}
+	for d := range count {
+		// One spare key slot: rows after the level's last new node write
+		// there before the slice is cut to size.
+		t.levels[d].keys = make([]int32, count[d]+1)
+		t.levels[d].start = make([]int32, count[d]+1)
+	}
+	leaf := make([]int32, n) // rows are unique: one leaf each
+	next := make([]int32, k) // next free node per level; next[m] is the row
+	for r := 0; r < n; r++ {
+		at, prev, diff := r*k, (r-1)*k, int32(0)
+		if r == 0 {
+			prev, diff = 0, 1
+		}
+		next[m] = int32(r)
+		for d := 0; d < m; d++ {
+			diff |= rows[at+d] ^ rows[prev+d]
+			lv, j := &t.levels[d], next[d]
+			lv.keys[j] = rows[at+d]
+			lv.start[j] = next[d+1]
+			next[d] = j + nonZero(diff)
+		}
+		leaf[r] = rows[at+m]
+	}
+	next[m] = int32(n)
+	for d := 0; d < m; d++ {
+		lv := &t.levels[d]
+		lv.keys = lv.keys[:count[d]]
+		lv.start[count[d]] = next[d+1]
+	}
+	t.levels[m].keys = leaf
+	t.rank = newRankIndex(t.levels[0].keys)
 }
 
-// buildLevels fills the CSR levels from a sorted unique row block in one
-// pass: for each row, levels above the longest common prefix with the
-// previous row get a new node, and each new node records where its children
-// begin in the level below.  Rows are unique, so the leaf level holds
-// exactly n keys and is allocated once at that size.
-func (t *trie[V]) buildLevels(rows []int32, k, n int) {
-	if k > 0 {
-		t.levels[k-1].keys = make([]int32, 0, n)
-	}
-	for r := 0; r < n; r++ {
-		row := rows[r*k : r*k+k]
-		c := 0
-		if r > 0 {
-			prev := rows[(r-1)*k : r*k]
-			for c < k && row[c] == prev[c] {
-				c++
-			}
-		}
-		for d := c; d < k; d++ {
-			if d+1 < k {
-				t.levels[d].start = append(t.levels[d].start, int32(len(t.levels[d+1].keys)))
-			}
-			t.levels[d].keys = append(t.levels[d].keys, row[d])
-		}
-	}
-	for d := 0; d+1 < k; d++ {
-		t.levels[d].start = append(t.levels[d].start, int32(len(t.levels[d+1].keys)))
-	}
+// nonZero is 1 when x != 0 and 0 otherwise, without a branch: x|-x has its
+// sign bit set exactly when x != 0.
+func nonZero(x int32) int32 {
+	return int32(uint32(x|-x) >> 31)
 }
 
 // gallop returns the first index in keys[lo:hi) holding a value >= key
@@ -201,8 +281,9 @@ type Runner[V any] struct {
 	Stats *Stats
 
 	tries     []*trie[V]
-	consumers [][]int // per depth: indices of tries consuming this variable
-	finishers [][]int // per depth: tries whose last variable is this depth
+	consumers [][]int        // per depth: indices of tries consuming this variable
+	finishers [][]int        // per depth: tries whose last variable is this depth
+	ranks     [][]*rankIndex // per depth, per consumer: the rank index answering its probes, or nil to gallop
 
 	// Traversal state (per clone): depth[ti] is trie ti's local depth, and
 	// node[ti][d] the node index bound at its local level d.
@@ -300,10 +381,18 @@ func newRunner[V any](ctx context.Context, pool *Pool, limit int, cache *TrieCac
 	r.tries = tries
 	r.consumers = make([][]int, len(vars))
 	r.finishers = make([][]int, len(vars))
+	r.ranks = make([][]*rankIndex, len(vars))
 	for ti, t := range r.tries {
 		for j, v := range t.vars {
 			depth := pos[v]
 			r.consumers[depth] = append(r.consumers[depth], ti)
+			// Only a first-level probe covers the whole (indexed) level; a
+			// deeper one searches a child range.
+			var rk *rankIndex
+			if j == 0 {
+				rk = t.rank
+			}
+			r.ranks[depth] = append(r.ranks[depth], rk)
 			if j == len(t.vars)-1 && ti < valued {
 				r.finishers[depth] = append(r.finishers[depth], ti)
 			}
@@ -373,6 +462,7 @@ func (r *Runner[V]) search(depth int, prod V, emit func([]int, V)) {
 		return
 	}
 	cons := r.consumers[depth]
+	ranks := r.ranks[depth]
 	sc := &r.scratch[depth]
 	// Pick the consumer with the fewest candidates and probe the others.
 	lead := 0
@@ -403,8 +493,17 @@ func (r *Runner[V]) search(depth int, prod V, emit func([]int, V)) {
 			if r.Stats != nil {
 				r.Stats.Probes++
 			}
-			at, exact := gallop(sc.keys[ci], sc.lo[ci], sc.hi[ci], key)
-			sc.lo[ci] = at // lead keys ascend, so the next probe resumes here
+			// A non-lead consumer at its first level spans the whole level
+			// (a block restriction narrows only the lead), so its rank index
+			// answers exactly what gallop would.
+			var at int
+			var exact bool
+			if rk := ranks[ci]; rk != nil {
+				at, exact = rk.find(key)
+			} else {
+				at, exact = gallop(sc.keys[ci], sc.lo[ci], sc.hi[ci], key)
+				sc.lo[ci] = at // lead keys ascend, so the next probe resumes here
+			}
 			if !exact {
 				ok = false
 				break
@@ -444,13 +543,6 @@ func (r *Runner[V]) search(depth int, prod V, emit func([]int, V)) {
 	}
 }
 
-// JoinAll materializes the join of factors over vars as a factor whose value
-// at each tuple is the ⊗-product of the inputs (the output phase of
-// InsideOut, Eq. (12)).
-func JoinAll[V any](d *semiring.Domain[V], factors []*factor.Factor[V], vars []int, stats *Stats) (*factor.Factor[V], error) {
-	return JoinAllOn(context.Background(), nil, 1, nil, d, factors, nil, vars, stats)
-}
-
 // scanListing runs the prepared runner and collects one flat row per emitted
 // assignment, columns permuted to sorted-variable order.
 func scanListing[V any](r *Runner[V], perm []int) ([]int32, []V) {
@@ -463,16 +555,6 @@ func scanListing[V any](r *Runner[V], perm []int) ([]int32, []V) {
 		values = append(values, val)
 	})
 	return rows, values
-}
-
-// EliminateInnermost evaluates the FAQ-SS sub-instance of Eq. (7): it joins
-// the factors over vars, aggregates the innermost (last) variable with ⊕ and
-// returns the factor over vars[:len(vars)-1].  This is one variable-
-// elimination step of InsideOut executed by OutsideIn.
-func EliminateInnermost[V any](d *semiring.Domain[V], op *semiring.Op[V],
-	factors []*factor.Factor[V], vars []int, stats *Stats) (*factor.Factor[V], error) {
-
-	return EliminateInnermostOn(context.Background(), nil, 1, nil, d, op, factors, nil, vars, stats)
 }
 
 // scanGrouped runs the prepared runner, ⊕-aggregating the innermost variable

@@ -6,10 +6,10 @@
 // concatenated in block order, which keeps results bit-identical to the
 // sequential scan:
 //
-//   - every output group of EliminateInnermost includes the outermost
+//   - every output group of EliminateInnermostOn includes the outermost
 //     variable in its prefix, so no ⊕-group spans two blocks and each group
 //     is combined in exactly the sequential order;
-//   - JoinAll emits one independent row per assignment.
+//   - JoinAllOn emits one independent row per assignment.
 //
 // Scans whose output is a scalar (single join variable) stay sequential:
 // their ⊕-fold crosses block boundaries, and re-associating it could change
@@ -18,8 +18,7 @@
 // Block scans run on a persistent Pool (see pool.go): EliminateInnermostOn
 // and JoinAllOn take the pool plus a per-call concurrency limit, a context
 // checked at block boundaries, and the prepared query's trie cache (nil
-// when there is none).  The legacy ...Par entry points wrap them with a
-// transient pool for callers without an engine.
+// when there is none).  A nil pool scans sequentially.
 package join
 
 import (
@@ -107,6 +106,7 @@ func (r *Runner[V]) clone() *Runner[V] {
 		tries:     r.tries,
 		consumers: r.consumers,
 		finishers: r.finishers,
+		ranks:     r.ranks,
 		constProd: r.constProd,
 		empty:     r.empty,
 	}
@@ -254,15 +254,18 @@ func runBlocks[V any](ctx context.Context, pool *Pool, limit int, r *Runner[V],
 	return err
 }
 
-// EliminateInnermostOn is EliminateInnermost on a persistent worker pool:
-// the scan is partitioned into contiguous index blocks of the outermost join
-// variable's candidates, blocks aggregate in parallel (at most `limit` in
-// flight), and outputs merge in block order.  The result is bit-identical
-// to the sequential scan for every pool size and limit; sub-scale instances
-// and scalar-output steps fall back to the sequential path.  Trie builds
-// hit `cache` when the caller has one; support lists the factors that join
-// through their support only (full-arity indicator projections, see
-// newRunner).
+// EliminateInnermostOn evaluates the FAQ-SS sub-instance of Eq. (7): it
+// joins the factors over vars, aggregates the innermost (last) variable
+// with ⊕ and returns the factor over vars[:len(vars)-1] — one
+// variable-elimination step of InsideOut executed by OutsideIn.  On a
+// worker pool the scan is partitioned into contiguous index blocks of the
+// outermost join variable's candidates, blocks aggregate in parallel (at
+// most `limit` in flight), and outputs merge in block order.  The result
+// is bit-identical to the sequential scan for every pool size and limit;
+// sub-scale instances and scalar-output steps fall back to the sequential
+// path.  Trie builds hit `cache` when the caller has one; support lists
+// the factors that join through their support only (full-arity indicator
+// projections, see newRunner).
 func EliminateInnermostOn[V any](ctx context.Context, pool *Pool, limit int,
 	cache *TrieCache[V], d *semiring.Domain[V], op *semiring.Op[V],
 	factors, support []*factor.Factor[V], vars []int, stats *Stats) (*factor.Factor[V], error) {
@@ -309,7 +312,10 @@ func EliminateInnermostOn[V any](ctx context.Context, pool *Pool, limit int,
 	return factor.NewRows(d, sortedVars, rows, values, nil)
 }
 
-// JoinAllOn is JoinAll on the same block-parallel persistent pool.
+// JoinAllOn materializes the join of factors over vars as a factor whose
+// value at each tuple is the ⊗-product of the inputs (the output phase of
+// InsideOut, Eq. (12)), block-parallel on the pool as EliminateInnermostOn
+// is.
 func JoinAllOn[V any](ctx context.Context, pool *Pool, limit int,
 	cache *TrieCache[V], d *semiring.Domain[V], factors, support []*factor.Factor[V],
 	vars []int, stats *Stats) (*factor.Factor[V], error) {
@@ -360,24 +366,4 @@ func poolWidth(pool *Pool, limit int) int {
 		width = limit
 	}
 	return width
-}
-
-// EliminateInnermostPar is EliminateInnermostOn on a transient pool of
-// `workers` goroutines (< 1 means GOMAXPROCS), for callers without a
-// long-lived engine.
-func EliminateInnermostPar[V any](d *semiring.Domain[V], op *semiring.Op[V],
-	factors []*factor.Factor[V], vars []int, workers int, stats *Stats) (*factor.Factor[V], error) {
-
-	pool := NewPool(workers)
-	defer pool.Close()
-	return EliminateInnermostOn(context.Background(), pool, 0, nil, d, op, factors, nil, vars, stats)
-}
-
-// JoinAllPar is JoinAllOn on a transient pool.
-func JoinAllPar[V any](d *semiring.Domain[V], factors []*factor.Factor[V],
-	vars []int, workers int, stats *Stats) (*factor.Factor[V], error) {
-
-	pool := NewPool(workers)
-	defer pool.Close()
-	return JoinAllOn(context.Background(), pool, 0, nil, d, factors, nil, vars, stats)
 }

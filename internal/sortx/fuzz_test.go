@@ -2,6 +2,7 @@ package sortx
 
 import (
 	"encoding/binary"
+	"math"
 	"testing"
 )
 
@@ -14,6 +15,18 @@ func FuzzRadixArgsort(f *testing.F) {
 	f.Add(3, []byte{0, 0, 0, 1, 255, 255, 255, 255, 0, 0, 0, 2})
 	f.Add(1, []byte{128, 0, 0, 0, 127, 255, 255, 255})
 	f.Add(6, make([]byte, 6*4*5))
+	// Only bit 31 varies (a one-bit span at the top of the word), and a
+	// column spanning all 32 bits across the sign boundary.
+	f.Add(1, le(0, math.MinInt32, 0, math.MinInt32))
+	f.Add(2, le(-1, 5, 0, 5, -1, 4))
+	// Key plus row index exactly 64 bits (31+31 key bits, 4 rows), then one
+	// row more so the index needs a third bit and the key goes wide.
+	f.Add(2, le(0, math.MaxInt32, math.MaxInt32, 0, 0, 0, math.MaxInt32, math.MaxInt32))
+	f.Add(2, le(0, math.MaxInt32, math.MaxInt32, 0, 0, 0, math.MaxInt32, math.MaxInt32, 1, 1))
+	// A key of exactly 64 bits (two full 32-bit spans), and one bit over
+	// (a third column varying in one bit): the second word's first bit.
+	f.Add(2, le(0, 0, -1, -1, 0, -1, -1, 0))
+	f.Add(3, le(0, 0, 0, -1, -1, 1, 0, -1, 1, -1, 0, 0))
 	f.Fuzz(func(t *testing.T, arity int, data []byte) {
 		k := 1 + (abs(arity) % 6)
 		n := len(data) / (4 * k)
@@ -37,6 +50,15 @@ func FuzzRadixArgsort(f *testing.F) {
 		checkStablePermutation(t, "argsort", rows, k, Argsort(rows, k, n, true), want)
 		checkSortedRows(t, "unstable", rows, k, Argsort(rows, k, n, false), want)
 	})
+}
+
+// le encodes int32 cells as the fuzz input's little-endian bytes.
+func le(cells ...int32) []byte {
+	out := make([]byte, 4*len(cells))
+	for i, c := range cells {
+		binary.LittleEndian.PutUint32(out[4*i:], uint32(c))
+	}
+	return out
 }
 
 func abs(x int) int {

@@ -14,7 +14,7 @@ import (
 
 // parallelArgsort is radixArgsort with the chunk sorts fanned out over
 // GOMAXPROCS goroutines.  Callers hold the sortActive gate.
-func parallelArgsort(rows []int32, k, n int) []int {
+func parallelArgsort(rows []int32, k, n int) []int32 {
 	nc := runtime.GOMAXPROCS(0)
 	if nc > n {
 		nc = n
@@ -23,7 +23,7 @@ func parallelArgsort(rows []int32, k, n int) []int {
 	for i := range bounds {
 		bounds[i] = i * n / nc
 	}
-	order := make([]int, n)
+	order := make([]int32, n)
 	var wg sync.WaitGroup
 	for i := 0; i < nc; i++ {
 		lo, hi := bounds[i], bounds[i+1]
@@ -32,7 +32,7 @@ func parallelArgsort(rows []int32, k, n int) []int {
 			defer wg.Done()
 			sub := radixArgsort(rows[lo*k:hi*k], k, hi-lo)
 			for j, o := range sub {
-				order[lo+j] = o + lo
+				order[lo+j] = o + int32(lo)
 			}
 		}(lo, hi)
 	}
@@ -41,10 +41,11 @@ func parallelArgsort(rows []int32, k, n int) []int {
 	// Chunks hold disjoint ascending index ranges, so the tie rule "prefer
 	// the left run" keeps equal rows in input order without comparing
 	// indices.
-	less := func(a, b int) bool {
-		return compareRows(rows[a*k:a*k+k], rows[b*k:b*k+k]) < 0
+	less := func(a, b int32) bool {
+		x, y := int(a)*k, int(b)*k
+		return compareRows(rows[x:x+k], rows[y:y+k]) < 0
 	}
-	src, dst := order, make([]int, n)
+	src, dst := order, make([]int32, n)
 	for len(bounds) > 2 {
 		next := make([]int, 0, len(bounds)/2+2)
 		next = append(next, 0)
@@ -71,7 +72,7 @@ func parallelArgsort(rows []int32, k, n int) []int {
 
 // mergeRuns merges two sorted runs into out (len(out) = len(a) + len(b)),
 // preferring a on ties.
-func mergeRuns(out, a, b []int, less func(x, y int) bool) {
+func mergeRuns(out, a, b []int32, less func(x, y int32) bool) {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		if less(b[j], a[i]) {

@@ -1,44 +1,43 @@
-// The LSD radix kernel: rows pack into fixed-width byte keys, then
-// counting passes over 8-bit digits permute (key, index) pairs between
-// ping-pong buffers from the least significant digit up.  Counting sort is
-// stable, so the composed permutation is the stable lexicographic argsort.
+// The LSD radix kernel: each row packs into a compact key built from the
+// bits that actually vary across the block, then counting passes over
+// n-sized digits permute keys between ping-pong buffers from the least
+// significant digit up.  Counting sort is stable, so the composed
+// permutation is the stable lexicographic argsort.
 package sortx
 
 import "math/bits"
 
-// kv is the unit the counting passes move: a packed key and the row index
-// it carries.  One struct store per element keeps the scatter a single
-// write stream instead of parallel key and index streams.
-type kv struct {
-	key uint64
-	idx int32
-}
+// maxDigitBits caps a counting pass's digit: 2^11 buckets of int32 is an
+// 8 KiB histogram, and 2048 scatter streams still fit a core's L2.
+const maxDigitBits = 11
 
-// bytePos names one byte of one column: the digit read at a counting pass.
-type bytePos struct {
-	col   int
+// span is one column's varying bit span: after the sign flip, bits above
+// and below it are constant across the block, so (u >> shift) & mask
+// orders the column exactly as its full value does.
+type span struct {
 	shift uint
+	mask  uint64
+	width uint // bits.OnesCount64(mask)
 }
 
 // radixArgsort returns the stable lexicographic argsort of n rows of
 // width k.
 //
-// A first scan OR- and AND-accumulates each column (over sign-flipped
-// values, so unsigned byte order equals signed column order): a byte
-// position is constant across the block exactly when the accumulators
-// agree there, and constant digits cannot change the order.  Small
-// domains leave most positions constant — typically two live bytes per
-// column — so the varying positions usually fit in one uint64 regardless
-// of arity.  When they do (eight or fewer), a second scan gathers them
-// into a single compact key per row, least significant first, building
-// the per-digit histograms in the same pass; then one counting pass per
-// varying byte scatters (key, index) pairs, the final pass writing row
-// indices straight to the result.  Only the rare wide case — more than
-// eight varying bytes: high arity over large domains — pays for
-// multi-word keys.
-func radixArgsort(rows []int32, k, n int) []int {
+// A first scan OR- and AND-accumulates each column over sign-flipped
+// values (so unsigned order equals signed column order); the bits where
+// the accumulators disagree bound the column's varying span, and every
+// bit outside it is constant and cannot change the order.  Each row's key
+// is the concatenation of its columns' spans, first column most
+// significant — one shift-and-mask per column.  Small domains give narrow
+// spans (13 bits for a domain of 8192), so the key usually fits one
+// uint64 together with the row index; then the key is sorted in place of
+// the (key, index) pair.  Wider keys (high arity over large domains) pack
+// into as many words as they need.  Digits are sized to n: a pass costs
+// O(n + 2^digit), so small blocks take narrow digits and large blocks up
+// to maxDigitBits, in as few passes as the key's width allows.
+func radixArgsort(rows []int32, k, n int) []int32 {
 	if n == 0 {
-		return []int{}
+		return []int32{}
 	}
 	ors := make([]uint32, k)
 	ands := make([]uint32, k)
@@ -54,88 +53,93 @@ func radixArgsort(rows []int32, k, n int) []int {
 			ands[c] &= u
 		}
 	}
-
-	// Varying byte positions in least-significant-first pass order: the
-	// last column's low byte first, the first column's high byte last.
-	varying := make([]bytePos, 0, 4*k)
-	for c := k - 1; c >= 0; c-- {
+	spans := make([]span, k)
+	keyBits := uint(0)
+	for c := range spans {
 		diff := ors[c] ^ ands[c]
-		for b := uint(0); b < 4; b++ {
-			if diff>>(8*b)&0xff != 0 {
-				varying = append(varying, bytePos{c, 8 * b})
-			}
+		if diff == 0 {
+			continue // constant column: width 0, contributes nothing
 		}
+		lo := uint(bits.TrailingZeros32(diff))
+		w := uint(bits.Len32(diff)) - lo
+		spans[c] = span{shift: lo, mask: 1<<w - 1, width: w}
+		keyBits += w
 	}
 
-	m := len(varying)
 	idxBits := uint(bits.Len(uint(n - 1)))
+	digit := uint(bits.Len(uint(n))) - 1
+	if digit > maxDigitBits {
+		digit = maxDigitBits
+	}
+	if digit < 4 {
+		digit = 4
+	}
 	switch {
-	case m == 0:
+	case keyBits == 0:
 		// Every row is identical: the stable order is the identity.
 		return identity(n)
-	case 8*m+int(idxBits) <= 64:
-		return packedArgsort(rows, k, n, varying, idxBits)
-	case m <= 8:
-		return compactArgsort(rows, k, n, varying)
-	case m <= 16:
-		return compact2Argsort(rows, k, n, varying)
+	case keyBits+idxBits <= 64:
+		return packedArgsort(rows, k, n, spans, keyBits, idxBits, digit)
 	default:
-		return wideArgsort(rows, k, n, varying)
+		return wideArgsort(rows, k, n, spans, keyBits, digit)
 	}
 }
 
-// packedArgsort is the tightest case: the varying bytes AND the row index
-// fit one uint64 together (key above, index in the low idxBits), so each
-// counting pass moves eight bytes per element — half the (key, index)
-// pair — and no separate index array exists at all.  Equal rows differ
-// only in their index bits, which sit below every digit, so the pack
-// scan's ascending-index order plus counting-sort stability yields the
-// stable permutation.
-func packedArgsort(rows []int32, k, n int, varying []bytePos, idxBits uint) []int {
-	m := len(varying)
+// passes splits a key of width b bits into the fewest digits of at most
+// max bits, balanced so no pass sorts on fewer bits than it must.
+func passes(b, max uint) (count, width uint) {
+	count = (b + max - 1) / max
+	return count, (b + count - 1) / count
+}
+
+// packedArgsort is the common case: the key and the row index fit one
+// uint64 together (key above, index in the low idxBits), so each counting
+// pass moves eight bytes per element and no separate index array exists.
+// Equal rows differ only in their index bits, which sit below every digit,
+// so the pack scan's ascending-index order plus counting-sort stability
+// yields the stable permutation.  The per-pass histograms are built in the
+// pack scan.
+func packedArgsort(rows []int32, k, n int, spans []span, keyBits, idxBits, maxDigit uint) []int32 {
+	m, d := passes(keyBits, maxDigit)
+	size := 1 << d
+	dmask := uint64(size - 1)
 	keysA := make([]uint64, n)
-	hist := make([]int32, m*256)
+	hist := make([]int32, int(m)*size)
 	for i := 0; i < n; i++ {
 		row := rows[i*k : i*k+k]
-		ck := uint64(i)
-		for j, bp := range varying {
-			b := byte((uint32(row[bp.col]) ^ 0x80000000) >> bp.shift)
-			ck |= uint64(b) << (idxBits + uint(j)*8)
-			hist[j*256+int(b)]++
+		var key uint64
+		for c, s := range spans {
+			key = key<<s.width | uint64((uint32(row[c])^0x80000000)>>s.shift)&s.mask
 		}
-		keysA[i] = ck
+		for t := uint(0); t < m; t++ {
+			hist[int(t)*size+int(key>>(t*d)&dmask)]++
+		}
+		keysA[i] = key<<idxBits | uint64(i)
 	}
 
-	out := make([]int, n)
-	mask := uint64(1)<<idxBits - 1
+	out := make([]int32, n)
+	imask := uint64(1)<<idxBits - 1
 	var keysB []uint64
 	if m > 1 {
 		keysB = make([]uint64, n)
 	}
-	var offs [256]int32
-	for t := 0; t < m; t++ {
-		h := hist[t*256 : t*256+256]
-		sum := int32(0)
-		for d := 0; d < 256; d++ {
-			offs[d] = sum
-			sum += h[d]
-		}
-		shift := idxBits + uint(t)*8
+	offs := make([]int32, size)
+	for t := uint(0); t < m; t++ {
+		prefixSums(offs, hist[int(t)*size:int(t+1)*size])
+		shift := idxBits + t*d
 		if t == m-1 {
-			for i := 0; i < n; i++ {
-				key := keysA[i]
-				d := byte(key >> shift)
-				j := offs[d]
-				offs[d] = j + 1
-				out[j] = int(key & mask)
+			for _, key := range keysA {
+				b := key >> shift & dmask
+				j := offs[b]
+				offs[b] = j + 1
+				out[j] = int32(key & imask)
 			}
 			break
 		}
-		for i := 0; i < n; i++ {
-			key := keysA[i]
-			d := byte(key >> shift)
-			j := offs[d]
-			offs[d] = j + 1
+		for _, key := range keysA {
+			b := key >> shift & dmask
+			j := offs[b]
+			offs[b] = j + 1
 			keysB[j] = key
 		}
 		keysA, keysB = keysB, keysA
@@ -143,172 +147,59 @@ func packedArgsort(rows []int32, k, n int, varying []bytePos, idxBits uint) []in
 	return out
 }
 
-// compactArgsort handles keys whose varying bytes fit one uint64: byte t
-// of the compact key is the digit of counting pass t.
-func compactArgsort(rows []int32, k, n int, varying []bytePos) []int {
-	m := len(varying)
-	pairsA := make([]kv, n)
-	hist := make([]int32, m*256)
-	for i := 0; i < n; i++ {
-		row := rows[i*k : i*k+k]
-		var ck uint64
-		for j, bp := range varying {
-			b := byte((uint32(row[bp.col]) ^ 0x80000000) >> bp.shift)
-			ck |= uint64(b) << (uint(j) * 8)
-			hist[j*256+int(b)]++
-		}
-		pairsA[i] = kv{ck, int32(i)}
-	}
-
-	out := make([]int, n)
-	var pairsB []kv
-	if m > 1 {
-		pairsB = make([]kv, n)
-	}
-	var offs [256]int32
-	for t := 0; t < m; t++ {
-		h := hist[t*256 : t*256+256]
-		sum := int32(0)
-		for d := 0; d < 256; d++ {
-			offs[d] = sum
-			sum += h[d]
-		}
-		shift := uint(t) * 8
-		if t == m-1 {
-			for i := 0; i < n; i++ {
-				p := pairsA[i]
-				d := byte(p.key >> shift)
-				j := offs[d]
-				offs[d] = j + 1
-				out[j] = int(p.idx)
-			}
-			break
-		}
-		for i := 0; i < n; i++ {
-			p := pairsA[i]
-			d := byte(p.key >> shift)
-			j := offs[d]
-			offs[d] = j + 1
-			pairsB[j] = p
-		}
-		pairsA, pairsB = pairsB, pairsA
-	}
-	return out
-}
-
-// kv2 extends kv to sixteen varying bytes: passes 0-7 read digits from
-// k1 (the less significant word), passes 8-15 from k0.
-type kv2 struct {
-	k0, k1 uint64
-	idx    int32
-}
-
-// compact2Argsort is compactArgsort for nine to sixteen varying bytes —
-// arity four through eight over realistic domains — moving 24-byte
-// (key, key, index) triples instead of multi-word copies.
-func compact2Argsort(rows []int32, k, n int, varying []bytePos) []int {
-	m := len(varying)
-	pairsA := make([]kv2, n)
-	hist := make([]int32, m*256)
-	for i := 0; i < n; i++ {
-		row := rows[i*k : i*k+k]
-		var c0, c1 uint64
-		for j, bp := range varying {
-			b := byte((uint32(row[bp.col]) ^ 0x80000000) >> bp.shift)
-			if j < 8 {
-				c1 |= uint64(b) << (uint(j) * 8)
-			} else {
-				c0 |= uint64(b) << (uint(j-8) * 8)
-			}
-			hist[j*256+int(b)]++
-		}
-		pairsA[i] = kv2{c0, c1, int32(i)}
-	}
-
-	out := make([]int, n)
-	pairsB := make([]kv2, n)
-	var offs [256]int32
-	for t := 0; t < m; t++ {
-		h := hist[t*256 : t*256+256]
-		sum := int32(0)
-		for d := 0; d < 256; d++ {
-			offs[d] = sum
-			sum += h[d]
-		}
-		var shift uint
-		lowWord := t < 8
-		if lowWord {
-			shift = uint(t) * 8
-		} else {
-			shift = uint(t-8) * 8
-		}
-		if t == m-1 {
-			for i := 0; i < n; i++ {
-				p := &pairsA[i]
-				word := p.k0
-				if lowWord {
-					word = p.k1
-				}
-				d := byte(word >> shift)
-				j := offs[d]
-				offs[d] = j + 1
-				out[j] = int(p.idx)
-			}
-			break
-		}
-		for i := 0; i < n; i++ {
-			p := pairsA[i]
-			word := p.k0
-			if lowWord {
-				word = p.k1
-			}
-			d := byte(word >> shift)
-			j := offs[d]
-			offs[d] = j + 1
-			pairsB[j] = p
-		}
-		pairsA, pairsB = pairsB, pairsA
-	}
-	return out
-}
-
-// wideArgsort is the multi-word fallback: each row packs into
-// ceil(k/2) uint64 words — each word holds two sign-flipped columns, the
-// earlier column in the high half, so unsigned word order equals
-// lexicographic order over the pair — and every counting pass moves the
-// whole key alongside its index.
-func wideArgsort(rows []int32, k, n int, varying []bytePos) []int {
-	w := (k + 1) / 2
+// wideArgsort handles keys that do not fit one word beside the row index:
+// each row's key packs into w = ceil(keyBits/64) words, word 0 least
+// significant, with a column's span split across two words where it
+// straddles a boundary.  Digits never straddle a word, so a pass reads
+// one word; every pass moves the whole key alongside its index.
+func wideArgsort(rows []int32, k, n int, spans []span, keyBits, maxDigit uint) []int32 {
+	w := int(keyBits+63) / 64
 	keysA := make([]uint64, n*w)
 	for r := 0; r < n; r++ {
 		row := rows[r*k : r*k+k]
 		kb := keysA[r*w : r*w+w]
-		for c, x := range row {
-			u := uint64(uint32(x) ^ 0x80000000)
-			if c&1 == 0 {
-				kb[c>>1] = u << 32
-			} else {
-				kb[c>>1] |= u
+		at := keyBits // bit offset just above the next column's span
+		for c, s := range spans {
+			if s.width == 0 {
+				continue
+			}
+			at -= s.width
+			v := uint64((uint32(row[c])^0x80000000)>>s.shift) & s.mask
+			word, off := at/64, at%64
+			kb[word] |= v << off
+			if off+s.width > 64 {
+				kb[word+1] |= v >> (64 - off)
 			}
 		}
 	}
 
-	// Histograms for the varying positions only, one scan for all passes.
-	m := len(varying)
-	hist := make([]int32, m*256)
-	words := make([]int, m)   // word index holding pass t's digit
-	shifts := make([]uint, m) // bit shift of pass t's digit within its word
-	for t, bp := range varying {
-		words[t] = bp.col >> 1
-		shifts[t] = bp.shift
-		if bp.col&1 == 0 {
-			shifts[t] += 32
+	// One pass per digit of each word, least significant word first.
+	type pass struct {
+		word  int
+		shift uint
+		mask  uint64
+	}
+	var plan []pass
+	for word := 0; word < w; word++ {
+		b := keyBits - uint(word)*64
+		if b > 64 {
+			b = 64
+		}
+		m, d := passes(b, maxDigit)
+		for t := uint(0); t < m; t++ {
+			width := d
+			if t*d+width > b {
+				width = b - t*d
+			}
+			plan = append(plan, pass{word, t * d, 1<<width - 1})
 		}
 	}
+	size := 1 << maxDigit
+	hist := make([]int32, len(plan)*size)
 	for r := 0; r < n; r++ {
 		kb := keysA[r*w : r*w+w]
-		for t := 0; t < m; t++ {
-			hist[t*256+int(byte(kb[words[t]]>>shifts[t]))]++
+		for t, p := range plan {
+			hist[t*size+int(kb[p.word]>>p.shift&p.mask)]++
 		}
 	}
 
@@ -318,29 +209,28 @@ func wideArgsort(rows []int32, k, n int, varying []bytePos) []int {
 	}
 	keysB := make([]uint64, n*w)
 	idxB := make([]int32, n)
-	var offs [256]int32
-	for t := 0; t < m; t++ {
-		h := hist[t*256 : t*256+256]
-		sum := int32(0)
-		for d := 0; d < 256; d++ {
-			offs[d] = sum
-			sum += h[d]
-		}
-		wi, shift := words[t], shifts[t]
+	offs := make([]int32, size)
+	for t, p := range plan {
+		prefixSums(offs, hist[t*size:(t+1)*size])
 		for i := 0; i < n; i++ {
 			kb := keysA[i*w : i*w+w]
-			d := byte(kb[wi] >> shift)
-			j := int(offs[d])
-			offs[d]++
+			b := kb[p.word] >> p.shift & p.mask
+			j := int(offs[b])
+			offs[b]++
 			copy(keysB[j*w:j*w+w], kb)
 			idxB[j] = idxA[i]
 		}
 		keysA, keysB = keysB, keysA
 		idxA, idxB = idxB, idxA
 	}
-	out := make([]int, n)
-	for i, x := range idxA {
-		out[i] = int(x)
+	return idxA
+}
+
+// prefixSums writes the exclusive prefix sums of h into offs.
+func prefixSums(offs, h []int32) {
+	sum := int32(0)
+	for i, c := range h {
+		offs[i] = sum
+		sum += c
 	}
-	return out
 }

@@ -24,15 +24,21 @@ func randomBlock(rng *rand.Rand, k, n int, lo, hi int32) []int32 {
 
 // refStable is the reference stable argsort: sort.SliceStable over the row
 // comparator, independent of every code path under test.
-func refStable(rows []int32, k, n int) []int {
+func refStable(rows []int32, k, n int) []int32 {
 	order := identity(n)
 	sort.SliceStable(order, func(a, b int) bool {
-		return compareRows(rows[order[a]*k:order[a]*k+k], rows[order[b]*k:order[b]*k+k]) < 0
+		oa, ob := int(order[a])*k, int(order[b])*k
+		return compareRows(rows[oa:oa+k], rows[ob:ob+k]) < 0
 	})
 	return order
 }
 
-func checkStablePermutation(t *testing.T, name string, rows []int32, k int, got, want []int) {
+// rowAt returns row i of a k-column block.
+func rowAt(rows []int32, k int, i int32) []int32 {
+	return rows[int(i)*k : int(i)*k+k]
+}
+
+func checkStablePermutation(t *testing.T, name string, rows []int32, k int, got, want []int32) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d indices, want %d", name, len(got), len(want))
@@ -40,7 +46,7 @@ func checkStablePermutation(t *testing.T, name string, rows []int32, k int, got,
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("%s: position %d has row %d (%v), want row %d (%v)", name, i,
-				got[i], rows[got[i]*k:got[i]*k+k], want[i], rows[want[i]*k:want[i]*k+k])
+				got[i], rowAt(rows, k, got[i]), want[i], rowAt(rows, k, want[i]))
 		}
 	}
 }
@@ -48,18 +54,18 @@ func checkStablePermutation(t *testing.T, name string, rows []int32, k int, got,
 // checkSortedRows verifies an unstable result: got must be a permutation
 // of 0..n-1 whose row sequence is lexicographically non-decreasing and
 // identical to the reference row sequence.
-func checkSortedRows(t *testing.T, name string, rows []int32, k int, got, ref []int) {
+func checkSortedRows(t *testing.T, name string, rows []int32, k int, got, ref []int32) {
 	t.Helper()
 	seen := make([]bool, len(got))
 	for _, o := range got {
-		if o < 0 || o >= len(got) || seen[o] {
+		if o < 0 || int(o) >= len(got) || seen[o] {
 			t.Fatalf("%s: not a permutation (index %d)", name, o)
 		}
 		seen[o] = true
 	}
 	for i := range got {
-		a := rows[got[i]*k : got[i]*k+k]
-		b := rows[ref[i]*k : ref[i]*k+k]
+		a := rowAt(rows, k, got[i])
+		b := rowAt(rows, k, ref[i])
 		if compareRows(a, b) != 0 {
 			t.Fatalf("%s: position %d holds row %v, want %v", name, i, a, b)
 		}
@@ -108,7 +114,7 @@ func TestArgsortEdgeCases(t *testing.T) {
 	// k=0: every row is the empty tuple; stable order is the identity.
 	got := Argsort(nil, 0, 4, true)
 	for i, o := range got {
-		if o != i {
+		if int(o) != i {
 			t.Fatalf("k=0: position %d has %d", i, o)
 		}
 	}
