@@ -23,12 +23,12 @@ vet:
 build:
 	$(GO) build ./...
 
-# The second run holds the goroutine-leak-checked packages at GOMAXPROCS 2
-# first, then 1, even on a one-core machine: the default runtime is built
-# once per process, so a run that starts at 1 would hide a leak at 2.
+# The second run repeats the whole suite at GOMAXPROCS 1, 2 and 4, even on a
+# one-core machine, so pool widths, block splits and the goroutine stack-diff
+# leak checks are exercised at every core count.
 test:
 	$(GO) test ./...
-	$(GO) test -cpu 2,1 ./internal/core ./internal/server ./cmd/faqrun ./cmd/satcli
+	$(GO) test -cpu 1,2,4 ./...
 
 # The equivalence harness lowers the block-scan threshold, so -race here
 # exercises the parallel executor on real multi-block scans.
@@ -56,7 +56,8 @@ bench-layout:
 	$(GO) test -run '^$$' -bench 'BenchmarkParallel|BenchmarkPrepared' -benchtime 3x -benchmem -json . | tee -a BENCH_PR4.json
 
 # Serving smoke: boot faqd on a free port, hit /healthz and one /v1/query
-# (verified against a local Solve), shut down gracefully.
+# (verified against a local single-threaded engine run), shut down
+# gracefully.
 serve-smoke:
 	./scripts/faqd_harness.sh smoke
 

@@ -1,6 +1,6 @@
 // Benchmarks for the block-parallel executor.  Every family runs the same
-// workload on the sequential executor (Workers=1) and the worker pool sized
-// to GOMAXPROCS (Workers=0), so
+// workload on an engine of width 1 (every scan on the calling goroutine)
+// and on one of width GOMAXPROCS, so
 //
 //	go test -bench 'Triangle|FourCycle|PGM|SharpSAT' -cpu 1,4
 //
@@ -10,6 +10,7 @@
 package faq
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -37,37 +38,56 @@ func randomPairs(rng *rand.Rand, d *Domain[float64], vars []int, dom, n int) *Fa
 	return f
 }
 
-// benchExecutors runs the query under Workers=1 and Workers=0 (GOMAXPROCS)
-// and asserts that the two executors agree bit-for-bit.
+// benchExecutors runs the query along order on an engine of width 1 and
+// one of width GOMAXPROCS, and asserts that the two agree bit-for-bit.
+// Each timed iteration runs RunWithFactors on the query's own factors, so
+// it builds every trie (bypassing the prepared query's trie cache) and
+// runs every scan, but never replans.
 func benchExecutors[V any](b *testing.B, q *Query[V], order []int) {
-	seq := DefaultOptions()
-	seq.Workers = 1
-	pool := DefaultOptions()
-	pool.Workers = 0 // GOMAXPROCS: tracks -cpu
-	rs, err := InsideOut(q, order, seq)
+	ctx := context.Background()
+	var preps []*PreparedQuery[V]
+	for _, width := range []int{1, 0} { // 0 = GOMAXPROCS: tracks -cpu
+		eng := NewEngine[V](EngineOptions{Workers: width})
+		b.Cleanup(eng.Close)
+		prep, err := eng.PrepareOrder(q, order, DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		preps = append(preps, prep)
+	}
+	rs, err := preps[0].Run(ctx)
 	if err != nil {
 		b.Fatal(err)
 	}
-	rp, err := InsideOut(q, order, pool)
+	rp, err := preps[1].Run(ctx)
 	if err != nil {
 		b.Fatal(err)
 	}
 	if !rs.Output.Equal(q.D, rp.Output) {
 		b.Fatalf("sequential and pool executors disagree: %v vs %v", rs.Output, rp.Output)
 	}
-	for _, bc := range []struct {
-		name string
-		opts Options
-	}{{"seq", seq}, {"pool", pool}} {
-		b.Run(bc.name, func(b *testing.B) {
+	for i, name := range []string{"seq", "pool"} {
+		prep := preps[i]
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := InsideOut(q, order, bc.opts); err != nil {
+				if _, err := prep.RunWithFactors(ctx, q.Factors); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
+}
+
+// plannedOrder returns the ordering an engine plans for q.
+func plannedOrder[V any](b *testing.B, q *Query[V]) []int {
+	eng := NewEngine[V](EngineOptions{Workers: 1})
+	defer eng.Close()
+	prep, err := eng.Prepare(q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return prep.Plan().Order
 }
 
 // BenchmarkParallelTriangle counts triangles (Example A.8) on a random graph:
@@ -144,11 +164,7 @@ func BenchmarkParallelPGMMarginal(b *testing.B) {
 		ds[i] = dom
 	}
 	q := &Query[float64]{D: d, NVars: vars, DomSizes: ds, NumFree: 1, Aggs: aggs, Factors: factors}
-	_, plan, err := Solve(q, DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchExecutors(b, q, plan.Order)
+	benchExecutors(b, q, plannedOrder(b, q))
 }
 
 // BenchmarkParallelSharpSAT counts models of a random interval CNF as an FAQ
@@ -157,9 +173,5 @@ func BenchmarkParallelPGMMarginal(b *testing.B) {
 func BenchmarkParallelSharpSAT(b *testing.B) {
 	f := cnf.RandomInterval(rand.New(rand.NewSource(23)), 20, 36, 12)
 	q := f.FAQQuery()
-	_, plan, err := Solve(q, DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchExecutors(b, q, plan.Order)
+	benchExecutors(b, q, plannedOrder(b, q))
 }

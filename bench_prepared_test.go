@@ -1,14 +1,13 @@
 // Benchmarks for the prepare-once-run-many serving path.  Each family runs
-// the same workload three ways:
+// the same workload two ways:
 //
-//   - solve:     faq.Solve per call — replans the ordering every time (the
-//     pre-engine cost model);
-//   - prepared:  PreparedQuery.Run per call — planning amortized away;
-//   - insideout: bare faq.InsideOut on a precomputed order — the floor.
+//   - fresh:    a new engine per call — NewEngine, Prepare, Run, Close, so
+//     every call plans the ordering, starts the pool and builds every trie;
+//   - prepared: PreparedQuery.Run per call — planning and trie builds
+//     amortized away.
 //
 // The amortization claim of the Engine API is that steady-state prepared
-// cost sits within noise of the bare InsideOut call and strictly below the
-// per-call Solve cost:
+// cost sits strictly below the fresh-engine cost:
 //
 //	go test -bench 'BenchmarkPrepared' -benchtime 3x
 //
@@ -68,7 +67,7 @@ func preparedPGM(seed int64) *Query[float64] {
 	return &Query[float64]{D: d, NVars: vars, DomSizes: ds, NumFree: 1, Aggs: aggs, Factors: factors}
 }
 
-// benchPrepared runs the solve / prepared / insideout triple on one query.
+// benchPrepared runs the fresh / prepared pair on one query.
 func benchPrepared(b *testing.B, q *Query[float64]) {
 	ctx := context.Background()
 	eng := NewEngine[float64](EngineOptions{})
@@ -77,10 +76,9 @@ func benchPrepared(b *testing.B, q *Query[float64]) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	order := prep.Plan().Order
 
-	// Sanity: the three paths agree before we time them.
-	want, _, err := Solve(q, DefaultOptions())
+	// Sanity: the two paths agree before we time them.
+	want, _, err := solve(q, DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -89,13 +87,13 @@ func benchPrepared(b *testing.B, q *Query[float64]) {
 		b.Fatal(err)
 	}
 	if !got.Output.Equal(q.D, want.Output) {
-		b.Fatal("prepared path diverged from Solve")
+		b.Fatal("prepared path diverged from a fresh engine")
 	}
 
-	b.Run("solve", func(b *testing.B) {
+	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := Solve(q, DefaultOptions()); err != nil {
+			if _, _, err := solve(q, DefaultOptions()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -104,14 +102,6 @@ func benchPrepared(b *testing.B, q *Query[float64]) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := prep.Run(ctx); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("insideout", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := InsideOut(q, order, DefaultOptions()); err != nil {
 				b.Fatal(err)
 			}
 		}

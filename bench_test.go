@@ -7,6 +7,7 @@
 package faq
 
 import (
+	"context"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -17,6 +18,30 @@ import (
 	"github.com/faqdb/faq/internal/pgm"
 	"github.com/faqdb/faq/internal/reljoin"
 )
+
+// benchEngine returns an engine of width GOMAXPROCS, closed when b ends.
+func benchEngine[V any](b *testing.B) *Engine[V] {
+	e := NewEngine[V](EngineOptions{})
+	b.Cleanup(e.Close)
+	return e
+}
+
+// benchOrder times evaluations of q along order on e.  Each iteration runs
+// RunWithFactors on q's own factors, which bypasses the prepared query's
+// trie cache: it validates the data, builds every trie and runs InsideOut,
+// as one evaluation of fresh data does, but never replans.
+func benchOrder[V any](b *testing.B, e *Engine[V], q *Query[V], order []int, opts Options) {
+	prep, err := e.PrepareOrder(q, order, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	for i := 0; i < b.N; i++ {
+		if _, err := prep.RunWithFactors(ctx, q.Factors); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // --- T1.1: #QCQ -----------------------------------------------------------
 
@@ -53,11 +78,12 @@ func sharpQCQInstance(rng *rand.Rand, dom int) *logicq.Query {
 }
 
 func BenchmarkTable1SharpQCQ(b *testing.B) {
+	eng := benchEngine[int64](b)
 	for _, dom := range []int{8, 16, 32} {
 		q := sharpQCQInstance(rand.New(rand.NewSource(1)), dom)
 		b.Run(sizeName("insideout", dom), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := logicq.CountQCQ(q); err != nil {
+				if _, err := logicq.CountQCQ(eng, q); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -106,11 +132,12 @@ func chenDalmauInstance(n, dom int) *logicq.Query {
 }
 
 func BenchmarkTable1QCQ(b *testing.B) {
+	eng := benchEngine[bool](b)
 	for _, n := range []int{3, 4, 5} {
 		q := chenDalmauInstance(n, 4)
 		b.Run(sizeName("insideout", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := logicq.SolveQCQ(q); err != nil {
+				if _, err := logicq.SolveQCQ(eng, q); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -134,11 +161,12 @@ func sharpCQInstance(rng *rand.Rand, dom int) *logicq.Query {
 }
 
 func BenchmarkTable1SharpCQ(b *testing.B) {
+	eng := benchEngine[int64](b)
 	for _, dom := range []int{8, 16, 32} {
 		q := sharpCQInstance(rand.New(rand.NewSource(2)), dom)
 		b.Run(sizeName("insideout", dom), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := logicq.CountCQ(q); err != nil {
+				if _, err := logicq.CountCQ(eng, q); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -159,12 +187,13 @@ func BenchmarkTable1SharpCQ(b *testing.B) {
 // --- T1.4: Joins (triangle, skew instance) ---------------------------------
 
 func BenchmarkTable1Joins(b *testing.B) {
+	eng := benchEngine[bool](b)
 	for _, n := range []int{128, 512, 2048} {
 		edges, dom := reljoin.SkewTriangleEdges(n)
 		in := reljoin.Triangle(dom, edges)
 		b.Run(sizeName("insideout", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := in.RunInsideOut(); err != nil {
+				if _, err := in.RunInsideOut(eng); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -182,8 +211,10 @@ func BenchmarkTable1Joins(b *testing.B) {
 // --- T1.5 / T1.6: Marginal and MAP -----------------------------------------
 
 func BenchmarkTable1Marginal(b *testing.B) {
+	eng := benchEngine[float64](b)
 	for _, dom := range []int{4, 8, 16} {
 		m := pgm.Cycle(rand.New(rand.NewSource(3)), 6, dom)
+		m.Engine = eng
 		b.Run(sizeName("insideout", dom), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := m.Marginal([]int{0}); err != nil {
@@ -205,8 +236,10 @@ func BenchmarkTable1Marginal(b *testing.B) {
 }
 
 func BenchmarkTable1MAP(b *testing.B) {
+	eng := benchEngine[float64](b)
 	for _, dom := range []int{4, 8, 16} {
 		m := pgm.Grid(rand.New(rand.NewSource(4)), 3, 3, dom)
+		m.Engine = eng
 		b.Run(sizeName("insideout", dom), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := m.MAPValue(); err != nil {
@@ -239,9 +272,10 @@ func BenchmarkTable1MCM(b *testing.B) {
 			ms[i].Data[j] = rng.Float64()
 		}
 	}
+	eng := benchEngine[float64](b)
 	b.Run("faq", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := matrixops.ChainFAQ(ms); err != nil {
+			if _, _, err := matrixops.ChainFAQ(eng, ms); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -258,6 +292,7 @@ func BenchmarkTable1MCM(b *testing.B) {
 // --- T1.8: DFT ---------------------------------------------------------------
 
 func BenchmarkTable1DFT(b *testing.B) {
+	eng := benchEngine[complex128](b)
 	for _, m := range []int{8, 10, 12} {
 		n := 1 << m
 		rng := rand.New(rand.NewSource(6))
@@ -267,7 +302,7 @@ func BenchmarkTable1DFT(b *testing.B) {
 		}
 		b.Run(sizeName("faqfft", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := matrixops.FFTViaFAQ(x, 2, m); err != nil {
+				if _, err := matrixops.FFTViaFAQ(eng, x, 2, m); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -346,23 +381,16 @@ func example56Query(rng *rand.Rand, n int) *Query[float64] {
 }
 
 func BenchmarkExample56Orderings(b *testing.B) {
+	eng := benchEngine[float64](b)
 	for _, n := range []int{32, 64, 128} {
 		q := example56Query(rand.New(rand.NewSource(7)), n)
 		expr := q.Shape().ExpressionOrder()
 		paper := []int{4, 0, 1, 2, 3, 5} // the width-1 ordering of the paper
 		b.Run(sizeName("width2-expression", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := InsideOut(q, expr, DefaultOptions()); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchOrder(b, eng, q, expr, DefaultOptions())
 		})
 		b.Run(sizeName("width1-planned", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := InsideOut(q, paper, DefaultOptions()); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchOrder(b, eng, q, paper, DefaultOptions())
 		})
 	}
 }
@@ -449,6 +477,7 @@ func BenchmarkAblationIndicatorProjections(b *testing.B) {
 		Factors: []*Factor[float64]{pairs([]int{0, 1}), pairs([]int{1, 2}), sel},
 	}
 	order := []int{0, 1, 2}
+	eng := benchEngine[float64](b)
 	for _, on := range []bool{true, false} {
 		name := "off"
 		if on {
@@ -457,11 +486,7 @@ func BenchmarkAblationIndicatorProjections(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			opts := DefaultOptions()
 			opts.IndicatorProjections = on
-			for i := 0; i < b.N; i++ {
-				if _, err := InsideOut(q, order, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchOrder(b, eng, q, order, opts)
 		})
 	}
 }
@@ -470,6 +495,7 @@ func BenchmarkAblationIndicatorProjections(b *testing.B) {
 // planned width on a cycle written in the worst order.
 func BenchmarkAblationPlanner(b *testing.B) {
 	m := pgm.Cycle(rand.New(rand.NewSource(11)), 8, 6)
+	m.Engine = benchEngine[float64](b)
 	b.Run("planned", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := m.Partition(); err != nil {
@@ -518,6 +544,7 @@ func BenchmarkAblationOutputFilters(b *testing.B) {
 		IdempotentInputs: true,
 	}
 	order := []int{0, 1, 2}
+	eng := benchEngine[bool](b)
 	for _, on := range []bool{true, false} {
 		name := "off"
 		if on {
@@ -526,11 +553,7 @@ func BenchmarkAblationOutputFilters(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			opts := DefaultOptions()
 			opts.FilterOutput = on
-			for i := 0; i < b.N; i++ {
-				if _, err := InsideOut(q, order, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchOrder(b, eng, q, order, opts)
 		})
 	}
 }

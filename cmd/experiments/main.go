@@ -68,7 +68,7 @@ var experiments = []experiment{
 	{"S8.5-gap", "Composition: Lemma 8.7 star-of-stars width gap", runGap},
 	{"FIG-trees", "Figures 2–6: expression trees", runTrees},
 	{"PAR-executor", "Parallel executor: sequential vs block-parallel worker pool", runParallel},
-	{"ENG-prepared", "Engine: prepare-once-run-many amortization vs per-call Solve", runPrepared},
+	{"ENG-prepared", "Engine: prepare-once-run-many amortization vs a fresh engine per call", runPrepared},
 }
 
 func timeIt(f func()) time.Duration {
@@ -120,11 +120,13 @@ func starQuery(rng *rand.Rand, dom int, quants []logicq.Quantifier) *logicq.Quer
 }
 
 func runSharpQCQ() {
+	eng := core.NewEngine[int64](core.EngineOptions{})
+	defer eng.Close()
 	row("dom", "insideout", "naive", "count")
 	for _, dom := range []int{8, 16, 24} {
 		q := starQuery(rand.New(rand.NewSource(*seed)), dom, []logicq.Quantifier{logicq.ForAll, logicq.Exists, logicq.ForAll})
 		var got int64
-		tIO := timeIt(func() { got, _ = logicq.CountQCQ(q) })
+		tIO := timeIt(func() { got, _ = logicq.CountQCQ(eng, q) })
 		var want int64
 		tNaive := timeIt(func() { want, _ = logicq.NaiveCount(q) })
 		check(got == want, "#QCQ mismatch")
@@ -133,6 +135,8 @@ func runSharpQCQ() {
 }
 
 func runQCQ() {
+	eng := core.NewEngine[bool](core.EngineOptions{})
+	defer eng.Close()
 	row("n", "insideout", "naive", "faqw", "prefixw")
 	for _, n := range []int{3, 4, 5} {
 		dom := 4
@@ -157,7 +161,7 @@ func runQCQ() {
 		q := logicq.ChenDalmau(n, s, r, dom)
 		var holds bool
 		tIO := timeIt(func() {
-			out, _ := logicq.SolveQCQ(q)
+			out, _ := logicq.SolveQCQ(eng, q)
 			holds = out.Size() > 0
 		})
 		var naive bool
@@ -171,11 +175,13 @@ func runQCQ() {
 }
 
 func runSharpCQ() {
+	eng := core.NewEngine[int64](core.EngineOptions{})
+	defer eng.Close()
 	row("dom", "insideout", "naive", "count")
 	for _, dom := range []int{8, 16, 24} {
 		q := starQuery(rand.New(rand.NewSource(*seed+1)), dom, []logicq.Quantifier{logicq.Exists, logicq.Exists, logicq.Exists})
 		var got int64
-		tIO := timeIt(func() { got, _ = logicq.CountCQ(q) })
+		tIO := timeIt(func() { got, _ = logicq.CountCQ(eng, q) })
 		var want int64
 		tNaive := timeIt(func() { want, _ = logicq.NaiveCount(q) })
 		check(got == want, "#CQ mismatch")
@@ -184,12 +190,14 @@ func runSharpCQ() {
 }
 
 func runJoins() {
+	eng := core.NewEngine[bool](core.EngineOptions{})
+	defer eng.Close()
 	row("N", "insideout", "hashjoin", "peak-intermediate", "output")
 	for _, n := range []int{128, 512, 2048} {
 		edges, dom := reljoin.SkewTriangleEdges(n)
 		in := reljoin.Triangle(dom, edges)
 		var out [][]int
-		tIO := timeIt(func() { out, _ = in.RunInsideOut() })
+		tIO := timeIt(func() { out, _ = in.RunInsideOut(eng) })
 		var peak int
 		var hj [][]int
 		tHJ := timeIt(func() { hj, peak, _ = in.RunHashJoin(nil) })
@@ -199,9 +207,12 @@ func runJoins() {
 }
 
 func runMarginal() {
+	eng := core.NewEngine[float64](core.EngineOptions{})
+	defer eng.Close()
 	row("dom", "insideout", "bruteforce", "Z")
 	for _, dom := range []int{4, 8, 12} {
 		m := pgm.Cycle(rand.New(rand.NewSource(*seed+2)), 6, dom)
+		m.Engine = eng
 		var z float64
 		tIO := timeIt(func() { z, _ = m.Partition() })
 		tBF := time.Duration(0)
@@ -213,9 +224,12 @@ func runMarginal() {
 }
 
 func runMAP() {
+	eng := core.NewEngine[float64](core.EngineOptions{})
+	defer eng.Close()
 	row("dom", "insideout", "bruteforce", "MAP")
 	for _, dom := range []int{3, 4, 8} {
 		m := pgm.Grid(rand.New(rand.NewSource(*seed+3)), 3, 3, dom)
+		m.Engine = eng
 		var v float64
 		tIO := timeIt(func() { v, _ = m.MAPValue() })
 		tBF := time.Duration(0)
@@ -240,8 +254,10 @@ func runMCM() {
 	}
 	var dpCost, dpOps int64
 	tDP := timeIt(func() { _, dpCost, dpOps, _ = matrixops.ChainDP(ms) })
+	eng := core.NewEngine[float64](core.EngineOptions{})
+	defer eng.Close()
 	var plan *core.Plan
-	tFAQ := timeIt(func() { _, plan, _ = matrixops.ChainFAQ(ms) })
+	tFAQ := timeIt(func() { _, plan, _ = matrixops.ChainFAQ(eng, ms) })
 	row("dims", "faq", "dp", "dp-cost")
 	row(fmt.Sprint(dims), tFAQ, tDP, dpCost)
 	fmt.Printf("  planner σ = %v (width %.2f); DP performed %d multiplies\n",
@@ -249,6 +265,8 @@ func runMCM() {
 }
 
 func runDFT() {
+	eng := core.NewEngine[complex128](core.EngineOptions{})
+	defer eng.Close()
 	row("N", "faq-fft", "naive", "max-err")
 	for _, m := range []int{8, 10, 12} {
 		n := 1 << m
@@ -258,7 +276,7 @@ func runDFT() {
 			x[i] = complex(rng.Float64(), 0)
 		}
 		var fast []complex128
-		tFAQ := timeIt(func() { fast, _ = matrixops.FFTViaFAQ(x, 2, m) })
+		tFAQ := timeIt(func() { fast, _ = matrixops.FFTViaFAQ(eng, x, 2, m) })
 		var slow []complex128
 		tNaive := timeIt(func() { slow = matrixops.NaiveDFT(x) })
 		maxErr := 0.0
@@ -530,27 +548,32 @@ func runParallel() {
 }
 
 // runPrepared is the serving-amortization experiment: the same triangle
-// shape is answered repeatedly over fresh edge sets, once with per-call
-// Solve (replanning every time) and once with Engine.Prepare +
-// RunWithFactors (planning once, swapping data).  The delta is the
-// Section 6–7 planning cost amortized away by the plan cache.
+// shape is answered repeatedly over fresh edge sets, once with a fresh
+// engine per call (planning, pool start-up and trie builds every time) and
+// once with one engine's Prepare + RunWithFactors (planning once, swapping
+// data).  The delta is the per-call set-up the prepared path amortizes
+// away, the Section 6–7 planning cost above all.
 func runPrepared() {
 	const runs = 8
 	eng := faq.NewEngine[float64](faq.EngineOptions{Workers: *workers})
 	defer eng.Close()
 	ctx := context.Background()
-	row("nodes", "solve×"+fmt.Sprint(runs), "prepared×"+fmt.Sprint(runs), "speedup", "checksum")
+	row("nodes", "fresh×"+fmt.Sprint(runs), "prepared×"+fmt.Sprint(runs), "speedup", "checksum")
 	for _, nodes := range []int{500, 1000, 2000} {
 		datasets := make([]*faq.Query[float64], runs)
 		for i := range datasets {
 			datasets[i] = triangleWorkload(rand.New(rand.NewSource(*seed+int64(i))), nodes, nodes*16)
 		}
-		var solveSum float64
-		tSolve := timeIt(func() {
+		var freshSum float64
+		tFresh := timeIt(func() {
 			for _, q := range datasets {
-				res, _, err := faq.Solve(q, faq.DefaultOptions())
-				check(err == nil, "solve")
-				solveSum += res.Scalar()
+				fresh := faq.NewEngine[float64](faq.EngineOptions{Workers: *workers})
+				prep, err := fresh.Prepare(q)
+				check(err == nil, "fresh prepare")
+				res, err := prep.Run(ctx)
+				check(err == nil, "fresh run")
+				fresh.Close()
+				freshSum += res.Scalar()
 			}
 		})
 		var prepSum float64
@@ -563,8 +586,8 @@ func runPrepared() {
 				prepSum += res.Scalar()
 			}
 		})
-		check(solveSum == prepSum, "prepared runs diverged from Solve")
-		row(nodes, tSolve, tPrep, float64(tSolve)/float64(tPrep), prepSum)
+		check(freshSum == prepSum, "prepared runs diverged from fresh engines")
+		row(nodes, tFresh, tPrep, float64(tFresh)/float64(tPrep), prepSum)
 	}
 	st := eng.Stats()
 	fmt.Printf("  engine: %d prepared, %d plan hits, %d misses, %d runs\n",

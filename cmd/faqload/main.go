@@ -36,8 +36,8 @@
 // envelope and stream binary result records), each item verified against
 // the same oracle — the same-run A/B behind make bench-batch.
 //
-// Every response is verified against a local single-threaded Solve of the
-// same spec, so a load run is also a correctness run.
+// Every response is verified against a local single-threaded engine run of
+// the same spec, so a load run is also a correctness run.
 package main
 
 import (
@@ -895,7 +895,7 @@ func floatVerifier(want float64) func(*server.QueryResponse) error {
 }
 
 // buildWorkload generates a named workload over domain size dom and
-// computes its expected answer with a local single-threaded Solve.
+// computes its expected answer with a local single-threaded engine run.
 func buildWorkload(name string, dom int) (workload, error) {
 	w := workload{name: name}
 	switch name {
@@ -1068,9 +1068,7 @@ func deltaWorkload(name string, dom int) (workload, error) {
 	oracle := func() (*factor.Factor[float64], error) {
 		nq := *q
 		nq.Factors = append([]*factor.Factor[float64](nil), cur...)
-		opts := core.DefaultOptions()
-		opts.Workers = 1
-		res, _, err := core.Solve(&nq, opts)
+		res, err := solveLocal(&nq)
 		if err != nil {
 			return nil, err
 		}
@@ -1244,11 +1242,21 @@ func smokeDataset(ctx context.Context, client *server.Client, cfg config, out *o
 	return nil
 }
 
-// solveScalar runs the local single-threaded oracle.
+// solveLocal is the local oracle: q planned and run on a single-threaded
+// engine of its own.
+func solveLocal[V any](q *core.Query[V]) (*core.Result[V], error) {
+	eng := core.NewEngine[V](core.EngineOptions{Workers: 1})
+	defer eng.Close()
+	prep, err := eng.Prepare(q)
+	if err != nil {
+		return nil, err
+	}
+	return prep.Run(context.Background())
+}
+
+// solveScalar is solveLocal for queries without free variables.
 func solveScalar[V any](q *core.Query[V]) (V, error) {
-	opts := core.DefaultOptions()
-	opts.Workers = 1
-	res, _, err := core.Solve(q, opts)
+	res, err := solveLocal(q)
 	if err != nil {
 		var zero V
 		return zero, err

@@ -67,7 +67,7 @@ func TestFaqloadSmokeAndLoad(t *testing.T) {
 	}
 
 	// Under load, same-shape requests must have hit the cache: hits ≫ misses.
-	st := s.Engine().StatsSnapshot()
+	st := s.Engine().Stats()
 	if st.PlanCacheHits+st.PlanCoalesced <= st.PlanCacheMisses {
 		t.Fatalf("plan cache not amortizing: %+v", st)
 	}

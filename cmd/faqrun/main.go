@@ -144,7 +144,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 	} else {
-		prep, err = eng.PrepareOpts(q, opts)
+		prep, err = eng.PrepareCtx(context.Background(), q, opts)
 		if err != nil {
 			return fail(err)
 		}
@@ -168,7 +168,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if cfg.mode == "prepared" {
 		// The full plan-cache snapshot, so prepared-mode amortization is
 		// visible without a debugger: one miss (the Prepare), then pure runs.
-		st := eng.StatsSnapshot()
+		st := eng.Stats()
 		fmt.Fprintf(stdout, "engine: %d prepared, %d plan hits, %d plan misses, %d coalesced, %d plans cached\n",
 			st.Prepared, st.PlanCacheHits, st.PlanCacheMisses, st.PlanCoalesced, st.PlansCached)
 		fmt.Fprintf(stdout, "engine: %d runs, %d cancelled — planning amortized over %d run(s)\n",

@@ -32,6 +32,12 @@ func main() {
 	}
 	r1, r2, r3 := rel("R1", dom*dom*3/4), rel("R2", dom*dom*3/4), rel("R3", dom*dom*3/4)
 
+	// One engine answers the counting queries; a bool-typed handle onto it
+	// answers the QCQ.
+	counts := faq.NewEngine[int64](faq.EngineOptions{})
+	defer counts.Close()
+	bools := faq.Retype[bool](counts)
+
 	// #QCQ: count x0 with ∀x1 ∃x2 ∀x3 (R1(x0,x1) ∧ R2(x0,x2) ∧ R3(x2,x3)).
 	q := &logicq.Query{
 		NumVars:  4,
@@ -44,7 +50,7 @@ func main() {
 			{Rel: r3, Vars: []int{2, 3}},
 		},
 	}
-	count, err := logicq.CountQCQ(q)
+	count, err := logicq.CountQCQ(counts, q)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,7 +62,7 @@ func main() {
 
 	// #CQ: same atoms, all-∃ prefix.
 	q.Quants = []logicq.Quantifier{logicq.Exists, logicq.Exists, logicq.Exists}
-	count, err = logicq.CountCQ(q)
+	count, err = logicq.CountCQ(counts, q)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -83,7 +89,7 @@ func main() {
 		succ.Add(a, (a+1)%3)
 	}
 	cd := logicq.ChenDalmau(n, s, succ, 3)
-	out, err := logicq.SolveQCQ(cd)
+	out, err := logicq.SolveQCQ(bools, cd)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -103,8 +109,8 @@ func main() {
 	fmt.Printf("      faqw(φ) = %.3f (prefix width would be %d)\n", plan.Width, n+1)
 
 	// Engine-served #QCQ: the same ∀∃∀ star shape over growing domains
-	// compiles to one query shape, so the engine plans it once and serves
-	// every subsequent domain size from the plan cache.
+	// compiles to one query shape, so a fresh engine plans it once and
+	// serves every subsequent domain size from the plan cache.
 	eng := faq.NewEngine[int64](faq.EngineOptions{})
 	defer eng.Close()
 	ctx := context.Background()

@@ -35,7 +35,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	faqOut, plan, err := matrixops.ChainFAQ(ms)
+	chain := core.NewEngine[float64](core.EngineOptions{})
+	defer chain.Close()
+	faqOut, plan, err := matrixops.ChainFAQ(chain, ms)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,8 +5,8 @@
 // The model is a 3×4 grid Markov random field with random pairwise
 // potentials.  InsideOut plans a variable ordering whose fractional
 // hypertree width matches the grid's treewidth structure; brute force
-// would enumerate d^12 assignments.  The model is bound to an engine with
-// UseEngine: repeated shapes (notably the n·d conditioned MAP evaluations
+// would enumerate d^12 assignments.  The model is bound to an engine
+// through its Engine field: repeated shapes (notably the n·d conditioned MAP evaluations
 // of MAPAssignment, which all share one shape) are answered from the plan
 // cache — inference is the archetypal prepare-once-run-many workload.
 package main
@@ -25,7 +25,8 @@ func main() {
 	const rows, cols, dom = 3, 4, 4
 	eng := core.NewEngine[float64](core.EngineOptions{})
 	defer eng.Close()
-	m := pgm.Grid(rng, rows, cols, dom).UseEngine(eng)
+	m := pgm.Grid(rng, rows, cols, dom)
+	m.Engine = eng
 
 	z, err := m.Partition()
 	if err != nil {

@@ -19,13 +19,15 @@
 // precedence posets, the exact dynamic program over LinEx(P) and the
 // Section 7 approximation algorithm.
 //
-// The serving API follows the paper's phase split — and the workload its
-// title names: questions asked *frequently*.  An Engine is a long-lived
-// handle holding a plan cache (an LRU keyed by the query's untyped Shape,
-// so shape-identical queries across calls share one planning pass) and a
-// persistent executor worker pool reused across elimination steps, runs and
-// queries.  Prepare runs the Section 6–7 planners once; Run and
-// RunWithFactors execute InsideOut against the cached plan with fresh data:
+// There is one way to run a query, and it follows the paper's phase split
+// — and the workload its title names: questions asked *frequently*.
+// NewEngine creates a long-lived handle holding a plan cache (an LRU keyed
+// by the query's untyped Shape, so shape-identical queries across calls
+// share one planning pass) and a fixed-size executor worker pool reused
+// across elimination steps, runs and queries.  Prepare runs the Section 6–7
+// planners once (PrepareOrder binds an explicit ordering instead); Run and
+// RunWithFactors execute InsideOut against the cached plan with fresh data;
+// Close stops the pool's workers:
 //
 //	eng := faq.NewEngine[float64](faq.EngineOptions{}) // Workers: 0 = GOMAXPROCS
 //	defer eng.Close()
@@ -58,32 +60,22 @@
 // every scan: a cancelled run returns ctx.Err() cleanly with no goroutine
 // leaked.  Engine.Stats reports plans cached, cache hits and runs served.
 //
-// Solve and InsideOut remain as one-shot compatibility wrappers over the
-// default engine: same semantics as before (Solve replans on every call),
-// now executing on the shared persistent pool.  New code — and any caller
-// issuing the same query shape repeatedly — should prefer Prepare/Run; the
-// wrappers may be deprecated once the cmd/ and examples/ surface has fully
-// moved to the Engine API.
-//
-// Each elimination step runs on a pluggable executor.  The default is the
-// engine's worker pool (Options.Workers: 0 = the pool width, 1 = sequential) that
-// partitions every elimination scan and output join into contiguous
-// key-range blocks of the outermost join variable, builds factor tries and
-// indicator projections concurrently, sorts large intermediates with a
-// parallel merge sort (sized to GOMAXPROCS, at most one in flight
-// process-wide so pools never oversubscribe), and merges block outputs in
-// block order — so every
-// worker count returns bit-identical results (scalar-output scans stay
-// sequential; ⊕-folds are never re-associated).  Parallel scaling is
-// benchmarked by
+// Every run executes on its engine's pool (Options.Workers: 0 = the pool
+// width, 1 = the calling goroutine only, larger values capped at the pool
+// width), which partitions every elimination scan and output join into
+// contiguous key-range blocks of the outermost join variable, builds factor
+// tries and indicator projections concurrently, and merges block outputs in
+// block order — so every worker count returns bit-identical results
+// (scalar-output scans stay sequential; ⊕-folds are never re-associated).
+// Parallel scaling is benchmarked by
 //
 //	go test -bench 'ParallelTriangle|ParallelFourCycle|ParallelPGM|ParallelSharpSAT' -cpu 1,4
 //
-// where each family compares Workers=1 against the pool, and plan
-// amortization by the BenchmarkPrepared* families.  The randomized
-// cross-semiring harness in faq_equivalence_test.go asserts Solve ≡ InsideOut
-// ≡ Engine.Prepare+Run ≡ BruteForce with identical outputs across worker
-// counts.
+// where each family compares an engine of width 1 against one of width
+// GOMAXPROCS, and plan amortization by the BenchmarkPrepared* families.
+// The randomized cross-semiring harness in faq_equivalence_test.go asserts
+// that prepared runs along the planned and the expression order, at every
+// worker count, match BruteForce with identical outputs.
 //
 // Domain-specific front ends live in the internal packages and are
 // exercised by the examples/ programs and cmd/ tools: logic queries
@@ -92,8 +84,6 @@
 package faq
 
 import (
-	"context"
-
 	"github.com/faqdb/faq/internal/core"
 	"github.com/faqdb/faq/internal/factor"
 	"github.com/faqdb/faq/internal/hypergraph"
@@ -180,10 +170,6 @@ var (
 // persistent worker pool.  Call Close when done.
 func NewEngine[V any](opts EngineOptions) *Engine[V] { return core.NewEngine[V](opts) }
 
-// DefaultEngine returns a handle on the shared process-wide engine backing
-// the Solve and InsideOut compatibility wrappers.
-func DefaultEngine[V any]() *Engine[V] { return core.DefaultEngine[V]() }
-
 // Retype returns a handle of value type V2 onto the same engine runtime:
 // both handles share the plan cache, the persistent pool and the stats.
 // Plans depend only on the untyped query shape, so a multi-domain server
@@ -236,48 +222,6 @@ func FromFunc[V any](d *Domain[V], vars []int, domSizes []int, f func(tuple []in
 // DefaultOptions returns the Algorithm-1 configuration: indicator
 // projections on, Yannakakis-style output filters on, listed output.
 func DefaultOptions() Options { return core.DefaultOptions() }
-
-// InsideOut evaluates the query along a φ-equivalent variable ordering
-// (Algorithm 1 of the paper).  One-shot compatibility wrapper over the
-// default engine.
-//
-// Deprecated: use Engine.PrepareOrder and PreparedQuery.Run — a prepared
-// query validates once, reuses the engine's persistent pool, and caches its
-// factor tries across runs; InsideOut re-does all of that every call.
-func InsideOut[V any](q *Query[V], order []int, opts Options) (*Result[V], error) {
-	return core.InsideOut(q, order, opts)
-}
-
-// InsideOutCtx is InsideOut under a context: cancellation is observed
-// between elimination steps and at block boundaries, with no goroutine
-// leaked.
-//
-// Deprecated: use Engine.PrepareOrder and PreparedQuery.Run with the
-// context, for the same reasons as InsideOut.
-func InsideOutCtx[V any](ctx context.Context, q *Query[V], order []int, opts Options) (*Result[V], error) {
-	return core.InsideOutCtx(ctx, q, order, opts)
-}
-
-// Solve plans an ordering (exact DP over LinEx(P) for small queries, the
-// Section 7 approximation otherwise) and runs InsideOut.  One-shot
-// compatibility wrapper over the default engine.
-//
-// Deprecated: use Engine.Prepare and PreparedQuery.Run — Solve re-runs the
-// Section 6–7 planners on every call and rebuilds every trie; the prepared
-// path plans once per shape (LRU-cached across value types) and serves
-// repeat runs from cached tries.
-func Solve[V any](q *Query[V], opts Options) (*Result[V], *Plan, error) {
-	return core.Solve(q, opts)
-}
-
-// SolveCtx is Solve under a context, observed by the exact planner and at
-// the block boundaries of every scan.
-//
-// Deprecated: use Engine.PrepareCtx and PreparedQuery.Run with the context,
-// for the same reasons as Solve.
-func SolveCtx[V any](ctx context.Context, q *Query[V], opts Options) (*Result[V], *Plan, error) {
-	return core.SolveCtx(ctx, q, opts)
-}
 
 // BruteForce evaluates the query by enumeration — the testing oracle and
 // the "no non-trivial algorithm" baseline.

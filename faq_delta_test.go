@@ -111,7 +111,8 @@ func runDeltaDifferential[V any](t *testing.T, seed int64, trials int, d *Domain
 	forceParallelBlocks(t)
 	engSeq := NewEngine[V](EngineOptions{Workers: 1})
 	t.Cleanup(engSeq.Close)
-	engPar := NewEngine[V](EngineOptions{Workers: 4})
+	// Wide enough that no drawn Workers value (2–7) is capped by the pool.
+	engPar := NewEngine[V](EngineOptions{Workers: 8})
 	t.Cleanup(engPar.Close)
 	rng := rand.New(rand.NewSource(seed))
 	ctx := context.Background()
@@ -135,11 +136,11 @@ func runDeltaDifferential[V any](t *testing.T, seed int64, trials int, d *Domain
 		seqOpts.Workers = 1
 		parOpts.Workers = 2 + rng.Intn(6)
 
-		prepSeq, err := engSeq.PrepareOpts(q, seqOpts)
+		prepSeq, err := engSeq.PrepareCtx(context.Background(), q, seqOpts)
 		if err != nil {
 			t.Fatalf("trial %d: seq Prepare: %v", trial, err)
 		}
-		prepPar, err := engPar.PrepareOpts(q, parOpts)
+		prepPar, err := engPar.PrepareCtx(context.Background(), q, parOpts)
 		if err != nil {
 			t.Fatalf("trial %d: par Prepare: %v", trial, err)
 		}
@@ -163,7 +164,7 @@ func runDeltaDifferential[V any](t *testing.T, seed int64, trials int, d *Domain
 			// Full-recompute oracle over the independently maintained state.
 			nq := *q
 			nq.Factors = cur
-			oraclePrep, err := engSeq.PrepareOpts(&nq, seqOpts)
+			oraclePrep, err := engSeq.PrepareCtx(context.Background(), &nq, seqOpts)
 			if err != nil {
 				t.Fatalf("trial %d step %d: oracle Prepare: %v", trial, step, err)
 			}
@@ -202,7 +203,7 @@ func runDeltaDifferential[V any](t *testing.T, seed int64, trials int, d *Domain
 		}
 		nq := *q
 		nq.Factors = cur
-		oraclePrep, err := engSeq.PrepareOpts(&nq, seqOpts)
+		oraclePrep, err := engSeq.PrepareCtx(context.Background(), &nq, seqOpts)
 		if err != nil {
 			t.Fatalf("trial %d: post-rejection oracle Prepare: %v", trial, err)
 		}

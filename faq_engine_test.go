@@ -1,17 +1,17 @@
 // Public-surface tests for the Engine / PreparedQuery serving API:
 // prepare-once-run-many correctness, context cancellation without goroutine
-// leaks (run under -race in CI), Workers=1 ≡ Workers=N bit-identity through
-// the prepared path, and default-engine stats for the compatibility
-// wrappers.
+// leaks (run under -race in CI), and Workers=1 ≡ Workers=N bit-identity
+// through the prepared path.
 package faq
 
 import (
 	"context"
 	"errors"
 	"math/rand"
-	"runtime"
 	"testing"
 	"time"
+
+	"github.com/faqdb/faq/internal/testutil"
 )
 
 // engineEdges builds a deterministic sparse edge factor for triangle
@@ -52,16 +52,17 @@ func engineTriangle(seed int64, nodes, edges int) *Query[float64] {
 	}
 }
 
-// TestEngineSolveEquivalence asserts Solve ≡ Engine.Prepare+Run
-// bit-identically across worker counts, on a query with free variables so
-// the whole output (not just a scalar) is compared.
+// TestEngineSolveEquivalence asserts that solving on a fresh engine per
+// call ≡ Prepare+Run on long-lived engines, bit-identically across worker
+// counts, on a query with free variables so the whole output (not just a
+// scalar) is compared.
 func TestEngineSolveEquivalence(t *testing.T) {
 	forceParallelBlocks(t)
 	q := engineTriangle(99, 48, 400)
 	q.NumFree = 1
 	q.Aggs[0] = Free[float64]()
 
-	want, _, err := Solve(q, DefaultOptions())
+	want, _, err := solve(q, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestEngineSolveEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !res.Output.Equal(q.D, want.Output) {
-			t.Fatalf("Workers=%d: Prepare+Run diverged from Solve:\n%v\n%v",
+			t.Fatalf("Workers=%d: Prepare+Run diverged from a fresh engine:\n%v\n%v",
 				workers, res.Output, want.Output)
 		}
 		eng.Close()
@@ -115,11 +116,11 @@ func TestEnginePreparedWorkerBitIdentity(t *testing.T) {
 }
 
 // TestEngineCancellationNoLeak cancels runs mid-join and checks that (a)
-// the run reports the context error and (b) after Close the goroutine count
-// returns to its baseline — no scan goroutine outlives a cancelled run.
+// the run reports the context error and (b) after Close the goroutine stack
+// diff is empty — no scan goroutine outlives a cancelled run.
 func TestEngineCancellationNoLeak(t *testing.T) {
 	forceParallelBlocks(t)
-	baseline := runtime.NumGoroutine()
+	before := testutil.SnapshotGoroutines()
 
 	eng := NewEngine[float64](EngineOptions{Workers: 4})
 	q := engineTriangle(3, 1200, 36000) // big enough to outlive the cancel delay
@@ -141,11 +142,14 @@ func TestEngineCancellationNoLeak(t *testing.T) {
 	interrupted := false
 	for attempt := 0; attempt < 20 && !interrupted; attempt++ {
 		ctx, cancel := context.WithCancel(context.Background())
+		canceller := make(chan struct{})
 		go func() {
+			defer close(canceller)
 			time.Sleep(time.Duration(1+attempt) * time.Millisecond)
 			cancel()
 		}()
 		_, err := prep.Run(ctx)
+		<-canceller
 		switch {
 		case err == nil:
 			// completed before the cancel landed; try again
@@ -164,48 +168,7 @@ func TestEngineCancellationNoLeak(t *testing.T) {
 	}
 
 	eng.Close()
-	deadline := time.Now().Add(3 * time.Second)
-	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > baseline {
-		t.Fatalf("goroutines leaked after cancelled runs + Close: %d -> %d", baseline, after)
-	}
-}
-
-// TestDefaultEngineStats checks that the compatibility wrappers and
-// DefaultEngine share one runtime, and that preparing a repeated shape on
-// it hits the plan cache.
-func TestDefaultEngineStats(t *testing.T) {
-	eng := DefaultEngine[float64]()
-	before := eng.Stats()
-
-	q := engineTriangle(11, 24, 120)
-	prep, err := eng.Prepare(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := prep.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Prepare(engineTriangle(12, 24, 120)); err != nil { // same shape
-		t.Fatal(err)
-	}
-	after := eng.Stats()
-	if after.Prepared < before.Prepared+2 {
-		t.Fatalf("Prepared did not advance: %+v -> %+v", before, after)
-	}
-	if after.PlanCacheHits < before.PlanCacheHits+1 {
-		t.Fatalf("shape-identical Prepare missed the default cache: %+v -> %+v", before, after)
-	}
-	if after.Runs < before.Runs+1 {
-		t.Fatalf("Runs did not advance: %+v -> %+v", before, after)
-	}
-	// Closing the default engine is a documented no-op: wrappers keep working.
-	eng.Close()
-	if _, _, err := Solve(engineTriangle(13, 16, 60), DefaultOptions()); err != nil {
-		t.Fatalf("Solve after DefaultEngine.Close: %v", err)
-	}
+	before.ExpectNoneStarted(t)
 }
 
 // TestPreparedRunWithFactorsPublic exercises the public data-refresh path:

@@ -1,14 +1,16 @@
 // Randomized cross-semiring correctness harness: ~200 random queries per run
-// over the Float, Int, Bool and Tropical domains, each checked three ways —
+// over the Float, Int, Bool and Tropical domains, each checked several ways —
 //
-//   - InsideOut along the expression order ≡ the BruteForce oracle,
-//   - Solve (planned ordering) ≡ the BruteForce oracle,
+//   - a run along the expression order ≡ the BruteForce oracle,
+//   - a run along the planned ordering ≡ the BruteForce oracle,
 //   - Workers=1 ≡ Workers>1, asserted bit-identical: the block-parallel
 //     executor merges key-range blocks in block order and never re-associates
-//     a ⊕-fold, so parallelism must not change a single bit,
-//   - Engine.Prepare+Run ≡ Solve, bit-identical on both a sequential and a
-//     pooled engine, so the prepared serving path (plan cache + persistent
-//     pool) computes exactly what the one-shot path does,
+//     a ⊕-fold, so parallelism must not change a single bit.  These runs use
+//     an engine of width 8, so no drawn Workers value (2–7) is capped by
+//     the pool width,
+//   - Prepare+Run at the engine's full width ≡ the Workers=1 planned run,
+//     bit-identical on both a sequential and a pooled engine (the plan
+//     cache hands shape-identical trials the same plan),
 //   - ApplyDeltas after a random batch ≡ BruteForce over the updated
 //     factors, so incremental maintenance joins the same oracle loop
 //     (faq_delta_test.go soaks this much harder).
@@ -26,11 +28,10 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
-	"time"
 
 	"github.com/faqdb/faq/internal/join"
+	"github.com/faqdb/faq/internal/testutil"
 )
 
 // forceParallelBlocks lowers the block-scan threshold for the duration of a
@@ -41,37 +42,30 @@ func forceParallelBlocks(t *testing.T) {
 	t.Cleanup(func() { join.MinParallelRows = old })
 }
 
-// checkGoroutineLeak registers a cleanup asserting the goroutine count
-// returns to its pre-test level.  Call it before creating any engines: test
-// cleanups run LIFO, so this check fires after Engine.Close has shut the
-// worker pools down.  A few retries absorb goroutines still parking.
+// checkGoroutineLeak registers a cleanup asserting, by a goroutine stack
+// diff, that no goroutine started during the test outlives it.  Call it
+// before creating any engines: test cleanups run LIFO, so this check fires
+// after Engine.Close has shut the worker pools down.
 func checkGoroutineLeak(t *testing.T) {
 	t.Helper()
-	// Solve/InsideOut run on the shared default engine, whose persistent
-	// workers are never reaped (by design).  Grow that pool to the
-	// harness's maximum width before snapshotting, so only genuinely
-	// leaked goroutines trip the check.
-	warm := &Query[bool]{
-		D: Bool(), NVars: 1, DomSizes: []int{1}, NumFree: 0,
-		Aggs:    []Aggregate[bool]{SemiringAgg(OpOr())},
-		Factors: []*Factor[bool]{FromFunc(Bool(), []int{0}, []int{1}, func([]int) bool { return true })},
+	before := testutil.SnapshotGoroutines()
+	t.Cleanup(func() { before.ExpectNoneStarted(t) })
+}
+
+// runOn prepares q on e — along order, or along the planned order when
+// order is nil — and runs it once.
+func runOn[V any](e *Engine[V], q *Query[V], order []int, opts Options) (*Result[V], error) {
+	var prep *PreparedQuery[V]
+	var err error
+	if order != nil {
+		prep, err = e.PrepareOrder(q, order, opts)
+	} else {
+		prep, err = e.PrepareCtx(context.Background(), q, opts)
 	}
-	wopts := DefaultOptions()
-	wopts.Workers = 8
-	if _, _, err := Solve(warm, wopts); err != nil {
-		t.Fatalf("default-pool warm-up: %v", err)
+	if err != nil {
+		return nil, err
 	}
-	before := runtime.NumGoroutine()
-	t.Cleanup(func() {
-		var after int
-		for i := 0; i < 50; i++ {
-			if after = runtime.NumGoroutine(); after <= before {
-				return
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		t.Errorf("goroutine leak: %d before the test, %d after engine shutdown", before, after)
-	})
+	return prep.Run(context.Background())
 }
 
 // randomQuery draws a small random FAQ instance.  maxOps excludes non-ring
@@ -175,6 +169,8 @@ func runEquivalence[V any](t *testing.T, seed int64, trials int, d *Domain[V],
 	t.Cleanup(engSeq.Close)
 	engPar := NewEngine[V](EngineOptions{Workers: 4})
 	t.Cleanup(engPar.Close)
+	engWide := NewEngine[V](EngineOptions{Workers: 8})
+	t.Cleanup(engWide.Close)
 	rng := rand.New(rand.NewSource(seed))
 	for trial := 0; trial < trials; trial++ {
 		q := randomQuery(rng, d, ringOps, allOps, allowProduct, randVal)
@@ -198,17 +194,17 @@ func runEquivalence[V any](t *testing.T, seed int64, trials int, d *Domain[V],
 		}
 
 		order := q.Shape().ExpressionOrder()
-		seq, err := InsideOut(q, order, seqOpts)
+		seq, err := runOn(engWide, q, order, seqOpts)
 		if err != nil {
-			t.Fatalf("trial %d: sequential InsideOut: %v", trial, err)
+			t.Fatalf("trial %d: sequential expression-order run: %v", trial, err)
 		}
-		par, err := InsideOut(q, order, parOpts)
+		par, err := runOn(engWide, q, order, parOpts)
 		if err != nil {
-			t.Fatalf("trial %d: parallel InsideOut (workers=%d): %v", trial, parOpts.Workers, err)
+			t.Fatalf("trial %d: parallel expression-order run (workers=%d): %v", trial, parOpts.Workers, err)
 		}
 		// Executor invariant: worker count never changes a bit.
 		if !seq.Output.Equal(d, par.Output) {
-			t.Fatalf("trial %d: Workers=1 and Workers=%d InsideOut outputs differ:\n%v\n%v",
+			t.Fatalf("trial %d: Workers=1 and Workers=%d expression-order outputs differ:\n%v\n%v",
 				trial, parOpts.Workers, seq.Output, par.Output)
 		}
 		// InsideOut along the expression order aggregates groups in the
@@ -218,28 +214,29 @@ func runEquivalence[V any](t *testing.T, seed int64, trials int, d *Domain[V],
 				trial, q.NVars, q.NumFree, q.DomSizes, seq.Output, want)
 		}
 
-		solvedSeq, _, err := Solve(q, seqOpts)
+		solvedSeq, err := runOn(engWide, q, nil, seqOpts)
 		if err != nil {
-			t.Fatalf("trial %d: sequential Solve: %v", trial, err)
+			t.Fatalf("trial %d: sequential planned run: %v", trial, err)
 		}
-		solvedPar, _, err := Solve(q, parOpts)
+		solvedPar, err := runOn(engWide, q, nil, parOpts)
 		if err != nil {
-			t.Fatalf("trial %d: parallel Solve: %v", trial, err)
+			t.Fatalf("trial %d: parallel planned run: %v", trial, err)
 		}
 		if !solvedSeq.Output.Equal(d, solvedPar.Output) {
-			t.Fatalf("trial %d: Workers=1 and Workers=%d Solve outputs differ:\n%v\n%v",
+			t.Fatalf("trial %d: Workers=1 and Workers=%d planned outputs differ:\n%v\n%v",
 				trial, parOpts.Workers, solvedSeq.Output, solvedPar.Output)
 		}
 		if !matches(d, solvedSeq.Output, want, eq) {
-			t.Fatalf("trial %d: Solve ≠ BruteForce\ngot  %v\nwant %v", trial, solvedSeq.Output, want)
+			t.Fatalf("trial %d: planned run ≠ BruteForce\ngot  %v\nwant %v", trial, solvedSeq.Output, want)
 		}
 
-		// Engine invariant: Prepare+Run must reproduce Solve bit-identically
-		// on both the sequential and the pooled engine (the plan cache hands
+		// Engine invariant: Prepare+Run at the engine's full width must
+		// reproduce the Workers=1 planned run bit-identically on both the
+		// sequential and the pooled engine (the plan cache hands
 		// shape-identical trials the same plan, so this also soaks the LRU).
 		preps := map[string]*PreparedQuery[V]{}
 		for name, eng := range map[string]*Engine[V]{"seq": engSeq, "par": engPar} {
-			prep, err := eng.PrepareOpts(q, opts)
+			prep, err := eng.PrepareCtx(context.Background(), q, opts)
 			if err != nil {
 				t.Fatalf("trial %d: %s engine Prepare: %v", trial, name, err)
 			}
@@ -248,7 +245,7 @@ func runEquivalence[V any](t *testing.T, seed int64, trials int, d *Domain[V],
 				t.Fatalf("trial %d: %s engine Run: %v", trial, name, err)
 			}
 			if !pres.Output.Equal(d, solvedSeq.Output) {
-				t.Fatalf("trial %d: %s engine Prepare+Run diverged from Solve:\n%v\n%v",
+				t.Fatalf("trial %d: %s engine Prepare+Run diverged from the Workers=1 planned run:\n%v\n%v",
 					trial, name, pres.Output, solvedSeq.Output)
 			}
 			preps[name] = prep

@@ -1,10 +1,24 @@
 package faq
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 )
+
+// solve plans q and runs it with opts on an engine of its own (pool width
+// GOMAXPROCS), closed before it returns: Prepare + Run in one call.
+func solve[V any](q *Query[V], opts Options) (*Result[V], *Plan, error) {
+	eng := NewEngine[V](EngineOptions{})
+	defer eng.Close()
+	prep, err := eng.PrepareCtx(context.Background(), q, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := prep.Run(context.Background())
+	return res, prep.Plan(), err
+}
 
 // TestAppendixA2KColorability: k-colorability (Example A.2) as a Boolean
 // FAQ: ψ_{uv}(c1, c2) = (c1 ≠ c2) for every edge.
@@ -32,7 +46,7 @@ func TestAppendixA2KColorability(t *testing.T) {
 		for _, e := range edges {
 			q.Factors = append(q.Factors, neq(k, n, e[0], e[1]))
 		}
-		res, _, err := Solve(q, DefaultOptions())
+		res, _, err := solve(q, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +102,7 @@ func TestAppendixA11Permanent(t *testing.T) {
 			}))
 		}
 	}
-	res, _, err := Solve(q, DefaultOptions())
+	res, _, err := solve(q, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +134,7 @@ func TestAppendixA1SATAsFAQ(t *testing.T) {
 		},
 		IdempotentInputs: true,
 	}
-	res, _, err := Solve(q, DefaultOptions())
+	res, _, err := solve(q, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +170,7 @@ func TestSetSemiringProvenance(t *testing.T) {
 		},
 		Factors: []*Factor[uint64]{r, s},
 	}
-	res, _, err := Solve(q, DefaultOptions())
+	res, _, err := solve(q, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +217,7 @@ func TestTropicalShortestPath(t *testing.T) {
 			FromFunc(d, []int{1, 2}, doms, func(tup []int) float64 { return w2[tup[1]][tup[0]] }),
 		},
 	}
-	res, _, err := Solve(q, DefaultOptions())
+	res, _, err := solve(q, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +239,7 @@ func TestTropicalShortestPath(t *testing.T) {
 }
 
 // TestFacadeSolveMatchesBruteForce is a sanity check for the re-exported
-// API on a random mixed query.
+// engine API on a random mixed query.
 func TestFacadeSolveMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	d := Float()
@@ -243,7 +257,7 @@ func TestFacadeSolveMatchesBruteForce(t *testing.T) {
 		},
 		Factors: []*Factor[float64]{r, s},
 	}
-	res, plan, err := Solve(q, DefaultOptions())
+	res, plan, err := solve(q, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +266,7 @@ func TestFacadeSolveMatchesBruteForce(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Output.Equal(d, want) {
-		t.Fatalf("Solve (%s) disagrees with brute force", plan.Method)
+		t.Fatalf("planned run (%s) disagrees with brute force", plan.Method)
 	}
 	if ok, err := InEVO(q.Shape(), plan.Order); err != nil || !ok {
 		t.Fatalf("planned order %v not in EVO: %v", plan.Order, err)

@@ -253,7 +253,7 @@ func blockBounds(dom int) [][2]int32 {
 // blockSafe reports whether restricting every pv-covering factor to a key
 // range of pv commutes with the plan, i.e. whether the restricted pipeline
 // provably computes exactly the full pipeline's rows with pv in range.  It
-// replays the eliminations of insideOutValidated over variable sets alone.
+// replays the eliminations of insideOut over variable sets alone.
 // Restriction is sound as long as pv sticks to every intermediate derived
 // from pv-carrying data — pv is σ(0), eliminated last, so ordinary
 // eliminations never drop it.  The two escapes are (a) an indicator
@@ -354,7 +354,7 @@ func factorDomSizes[V any](q *Query[V], f *factor.Factor[V]) []int {
 func (p *PreparedQuery[V]) deltaRun(ctx context.Context, factors []*factor.Factor[V]) (*Result[V], error) {
 	nq := *p.q
 	nq.Factors = factors
-	return insideOutValidated(ctx, &nq, p.plan.Order, p.opts, rtExecutor(p.rt, p.opts.Workers, p.tries))
+	return insideOut(ctx, &nq, p.plan.Order, p.opts, p.executor(p.tries))
 }
 
 // applyRing maintains the result by Δ-propagation: each batch against

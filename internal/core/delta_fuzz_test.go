@@ -92,7 +92,7 @@ func FuzzApplyDeltas(f *testing.F) {
 		opts.IndicatorProjections = rng.Intn(2) == 0
 		opts.FilterOutput = rng.Intn(2) == 0
 		opts.Workers = 1 + rng.Intn(3)
-		prep, err := eng.PrepareOpts(q, opts)
+		prep, err := eng.PrepareCtx(context.Background(), q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

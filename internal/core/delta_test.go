@@ -163,7 +163,7 @@ func TestApplyDeltasCountsStats(t *testing.T) {
 		Rows: []int32{0, 0}, Values: []float64{2}}}); err != nil {
 		t.Fatal(err)
 	}
-	s := eng.StatsSnapshot()
+	s := eng.Stats()
 	if s.DeltasApplied != 1 {
 		t.Fatalf("DeltasApplied = %d, want 1", s.DeltasApplied)
 	}

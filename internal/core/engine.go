@@ -2,13 +2,13 @@
 //
 // The FAQ paper separates the *ordering* phase (Sections 6–7: expression
 // trees, precedence posets, the exact DP over LinEx(P), the Section 7
-// approximation) from the *evaluation* phase (InsideOut, Section 5).  The
-// one-shot Solve entry point re-runs both on every call; an Engine keeps the
-// two apart the way the paper does.  Engine.Prepare runs the planners once —
-// memoized in an LRU keyed by the query's untyped Shape, so shape-identical
-// queries across calls and across value types of the same engine hit the
-// cache — and PreparedQuery.Run / RunWithFactors execute InsideOut against
-// the cached plan with fresh data on the engine's persistent worker pool.
+// approximation) from the *evaluation* phase (InsideOut, Section 5), and
+// the Engine — the only way to run a query — keeps the two apart the same
+// way.  Engine.Prepare runs the planners once — memoized in an LRU keyed by
+// the query's untyped Shape, so shape-identical queries across calls and
+// across value types of the same engine hit the cache — and
+// PreparedQuery.Run / RunWithFactors execute InsideOut against the cached
+// plan with fresh data on the engine's persistent worker pool.
 // Each PreparedQuery also owns the CSR tries of its own factors (a
 // join.TrieCache with no capacity bound, living exactly as long as the
 // query), so repeat Runs skip the trie builds and no other query's traffic
@@ -22,7 +22,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -41,9 +40,9 @@ const DefaultPlanCacheSize = 256
 // EngineOptions configures a long-lived Engine.
 type EngineOptions struct {
 	// Workers sizes the engine's persistent executor pool, reused across
-	// elimination steps, runs and queries: 0 means GOMAXPROCS, 1 means the
-	// sequential executor.  Per-run Options.Workers may cap concurrency
-	// below the pool size but never above it.
+	// elimination steps, runs and queries: 0 means GOMAXPROCS, 1 runs every
+	// scan on the calling goroutine.  Per-run Options.Workers may cap
+	// concurrency below the pool size but never above it.
 	Workers int
 	// PlanCacheSize bounds the plan LRU (entries).  0 means
 	// DefaultPlanCacheSize; negative disables caching.
@@ -84,10 +83,9 @@ type EngineStats struct {
 // the persistent pool, the plan cache and the counters.  Plans depend only
 // on the untyped Shape, so one runtime serves all value types.
 type engineRT struct {
-	opts     EngineOptions
-	pool     *join.Pool
-	cache    *planCache
-	growable bool // default runtime: pool grows to explicit Workers requests
+	opts  EngineOptions
+	pool  *join.Pool
+	cache *planCache
 
 	// flight is the in-flight single-prepare guard: one entry per shape key
 	// currently being planned, so a thundering herd of cold same-shape
@@ -104,16 +102,15 @@ type engineRT struct {
 	deltas, deltaRingRuns, deltaBlockRuns, deltaRecomputes atomic.Int64
 }
 
-func newEngineRT(opts EngineOptions, growable bool) *engineRT {
+func newEngineRT(opts EngineOptions) *engineRT {
 	cacheSize := opts.PlanCacheSize
 	if cacheSize == 0 {
 		cacheSize = DefaultPlanCacheSize
 	}
 	return &engineRT{
-		opts:     opts,
-		pool:     join.NewPool(opts.Workers),
-		cache:    newPlanCache(cacheSize),
-		growable: growable,
+		opts:  opts,
+		pool:  join.NewPool(opts.Workers),
+		cache: newPlanCache(cacheSize),
 	}
 }
 
@@ -254,56 +251,6 @@ func planWith(ctx context.Context, s *Shape, planner string) (*Plan, error) {
 	return nil, fmt.Errorf("core: unknown planner %q (want auto, exact, greedy, approx or expression)", planner)
 }
 
-// rtExecutor resolves a per-run Workers knob against a runtime: 1 is the
-// sequential executor; 0 runs at the pool's full width; larger values cap a
-// run's in-flight blocks below the pool size (the default runtime instead
-// grows its pool, preserving the historical "Workers = that much
-// concurrency" contract of the one-shot entry points).
-func rtExecutor[V any](rt *engineRT, workers int, cache *join.TrieCache[V]) executor[V] {
-	if workers == 1 {
-		return seqExecutor[V]{cache: cache}
-	}
-	if workers > 1 && rt.growable {
-		// Growth is capped: pool workers are persistent, so an oversized
-		// per-call Workers must not pin unbounded goroutines forever.
-		// Beyond the cap the scan splits at the clamped pool width, which
-		// is safe because block outputs always merge in block order —
-		// results are bit-identical at every split width.
-		rt.pool.Grow(min(workers, maxDefaultPoolSize()))
-	}
-	if rt.pool.Size() <= 1 && workers <= 1 {
-		return seqExecutor[V]{cache: cache}
-	}
-	return poolExecutor[V]{pool: rt.pool, limit: workers, cache: cache}
-}
-
-// maxDefaultPoolSize bounds the shared default pool: generous enough that
-// tests and oversubscribed single-core runs get real concurrency, bounded
-// so a stray Workers value cannot leak goroutines for the process lifetime.
-func maxDefaultPoolSize() int {
-	if n := 4 * runtime.GOMAXPROCS(0); n > 16 {
-		return n
-	}
-	return 16
-}
-
-// defaultRT is the process-wide runtime behind the compatibility wrappers
-// (Solve, InsideOut) and DefaultEngine.  It is built on first use: its pool
-// starts at GOMAXPROCS and grows to meet explicit Workers requests.  A
-// one-shot run with Workers = 1 is sequential and never calls it, so it
-// neither creates nor grows the pool.
-var (
-	defaultRTOnce sync.Once
-	defaultRTVal  *engineRT
-)
-
-func defaultRT() *engineRT {
-	defaultRTOnce.Do(func() {
-		defaultRTVal = newEngineRT(EngineOptions{}, true)
-	})
-	return defaultRTVal
-}
-
 // Engine is a long-lived FAQ serving handle for value type V: a plan cache
 // plus a persistent executor pool.  Engines are safe for concurrent use;
 // create one per process (or per tenant) and Prepare queries against it.
@@ -314,28 +261,16 @@ type Engine[V any] struct {
 // NewEngine creates an engine with its own pool and plan cache.  Call Close
 // when done to stop the pool's workers.
 func NewEngine[V any](opts EngineOptions) *Engine[V] {
-	return &Engine[V]{rt: newEngineRT(opts, false)}
+	return &Engine[V]{rt: newEngineRT(opts)}
 }
 
-// DefaultEngine returns a handle on the shared process-wide engine that
-// also backs the Solve and InsideOut compatibility wrappers.  All value
-// types share its plan cache, pool and stats; Close is a no-op on it.
-func DefaultEngine[V any]() *Engine[V] {
-	return &Engine[V]{rt: defaultRT()}
-}
-
-// StatsSnapshot returns a race-safe snapshot of the engine's counters:
-// every field is an atomic load (PlansCached reads the LRU length under its
-// mutex), so a snapshot taken while prepares and runs are in flight — the
-// /statsz path of a serving daemon — never tears.  The snapshot is not a
-// consistent cut across counters: a prepare between two loads can make
-// Prepared and PlanCacheHits disagree by one, which is fine for monitoring.
-func (e *Engine[V]) StatsSnapshot() EngineStats { return e.rt.stats() }
-
-// Stats is the historical name of StatsSnapshot, kept for existing callers
-// and tests; both read the same atomics.  New code — in particular anything
-// polling a live engine — should call StatsSnapshot.
-func (e *Engine[V]) Stats() EngineStats { return e.StatsSnapshot() }
+// Stats returns a race-safe snapshot of the engine's counters: every field
+// is an atomic load (PlansCached reads the LRU length under its mutex), so
+// a snapshot taken while prepares and runs are in flight — the /statsz path
+// of a serving daemon — never tears.  The snapshot is not a consistent cut
+// across counters: a prepare between two loads can make Prepared and
+// PlanCacheHits disagree by one, which is fine for monitoring.
+func (e *Engine[V]) Stats() EngineStats { return e.rt.stats() }
 
 // Retype returns a handle of value type V2 onto e's runtime: both handles
 // share the plan cache, the persistent pool and the stats.  Plans depend
@@ -344,17 +279,10 @@ func (e *Engine[V]) Stats() EngineStats { return e.StatsSnapshot() }
 // handle closes the shared runtime.
 func Retype[V2, V1 any](e *Engine[V1]) *Engine[V2] { return &Engine[V2]{rt: e.rt} }
 
-// Close stops the engine's persistent workers and waits for them to exit.
-// Prepared queries remain usable — runs after Close execute sequentially.
-// Closing the default engine is a no-op.  (The default runtime is the only
-// growable one, so the flag doubles as its identity — avoiding a racy read
-// of the lazily-written package variable.)
-func (e *Engine[V]) Close() {
-	if e.rt.growable {
-		return
-	}
-	e.rt.pool.Close()
-}
+// Close stops the engine's persistent workers and waits for them to exit,
+// so no goroutine of the engine outlives the call.  Prepared queries remain
+// usable — runs after Close execute sequentially.
+func (e *Engine[V]) Close() { e.rt.pool.Close() }
 
 // Prepare plans q (through the plan cache) with the Algorithm-1 execution
 // options at the engine's full pool width.
@@ -362,13 +290,8 @@ func (e *Engine[V]) Prepare(q *Query[V]) (*PreparedQuery[V], error) {
 	return e.PrepareCtx(context.Background(), q, DefaultOptions())
 }
 
-// PrepareOpts is Prepare with explicit execution options (captured for
-// every subsequent Run).
-func (e *Engine[V]) PrepareOpts(q *Query[V], opts Options) (*PreparedQuery[V], error) {
-	return e.PrepareCtx(context.Background(), q, opts)
-}
-
-// PrepareCtx is PrepareOpts under a context: the exact-DP planner observes
+// PrepareCtx is Prepare with explicit execution options (captured for
+// every subsequent Run) under a context: the exact-DP planner observes
 // cancellation, so preparing an adversarially wide query can be bounded.
 func (e *Engine[V]) PrepareCtx(ctx context.Context, q *Query[V], opts Options) (*PreparedQuery[V], error) {
 	if ctx == nil {
@@ -387,8 +310,8 @@ func (e *Engine[V]) PrepareCtx(ctx context.Context, q *Query[V], opts Options) (
 }
 
 // PrepareOrder binds q to an explicit variable ordering with the given
-// execution options, bypassing the planners and the cache.  Like InsideOut,
-// it checks that order is a permutation listing the free variables first;
+// execution options, bypassing the planners and the cache.  It checks that
+// order is a permutation listing the free variables first;
 // φ-equivalence (membership in EVO(φ)) is the caller's responsibility —
 // InEVO verifies it.
 func (e *Engine[V]) PrepareOrder(q *Query[V], order []int, opts Options) (*PreparedQuery[V], error) {
@@ -502,7 +425,7 @@ func (p *PreparedQuery[V]) run(ctx context.Context, q *Query[V], cache *join.Tri
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	res, err := insideOutValidated(ctx, q, p.plan.Order, p.opts, rtExecutor(p.rt, p.opts.Workers, cache))
+	res, err := insideOut(ctx, q, p.plan.Order, p.opts, p.executor(cache))
 	if err != nil {
 		if join.CtxErr(ctx) != nil {
 			p.rt.cancelled.Add(1)
@@ -511,6 +434,13 @@ func (p *PreparedQuery[V]) run(ctx context.Context, q *Query[V], cache *join.Tri
 	}
 	p.rt.runs.Add(1)
 	return res, nil
+}
+
+// executor runs on the engine's pool with the prepared Options.Workers as
+// its limit: 0 runs at the pool's full width, 1 runs every scan inline, and
+// larger values cap a run's in-flight blocks, at most at the pool width.
+func (p *PreparedQuery[V]) executor(cache *join.TrieCache[V]) executor[V] {
+	return executor[V]{pool: p.rt.pool, limit: p.opts.Workers, cache: cache}
 }
 
 // planCache is a mutex-guarded LRU from shape keys to plans.

@@ -37,26 +37,26 @@ func TestEnginePlanCacheEvictionOrder(t *testing.T) {
 	if _, err := e.Prepare(qa); err != nil { // touch A: B becomes LRU
 		t.Fatal(err)
 	}
-	if st := e.StatsSnapshot(); st.PlanCacheMisses != 2 || st.PlanCacheHits != 1 || st.PlansCached != 2 {
+	if st := e.Stats(); st.PlanCacheMisses != 2 || st.PlanCacheHits != 1 || st.PlansCached != 2 {
 		t.Fatalf("before overflow: %+v", st)
 	}
 	if _, err := e.Prepare(qc); err != nil { // overflow: evicts B
 		t.Fatal(err)
 	}
-	if st := e.StatsSnapshot(); st.PlansCached != 2 || st.PlanCacheMisses != 3 {
+	if st := e.Stats(); st.PlansCached != 2 || st.PlanCacheMisses != 3 {
 		t.Fatalf("after overflow: %+v", st)
 	}
 	// A survived the overflow (it was touched), B did not.
 	if _, err := e.Prepare(qa); err != nil {
 		t.Fatal(err)
 	}
-	if st := e.StatsSnapshot(); st.PlanCacheHits != 2 {
+	if st := e.Stats(); st.PlanCacheHits != 2 {
 		t.Fatalf("touched entry was evicted: %+v", st)
 	}
 	if _, err := e.Prepare(qb); err != nil {
 		t.Fatal(err)
 	}
-	if st := e.StatsSnapshot(); st.PlanCacheMisses != 4 {
+	if st := e.Stats(); st.PlanCacheMisses != 4 {
 		t.Fatalf("LRU entry was not evicted: %+v", st)
 	}
 }
@@ -109,12 +109,12 @@ func TestRetypeSharesPlanAcrossValueTypes(t *testing.T) {
 	if pf.Plan() != pi.Plan() {
 		t.Fatalf("Float and Int handles cached separate plans for one shape: %p vs %p", pf.Plan(), pi.Plan())
 	}
-	st := ef.StatsSnapshot()
+	st := ef.Stats()
 	if st.PlanCacheMisses != 1 || st.PlanCacheHits != 1 || st.PlansCached != 1 {
 		t.Fatalf("shared runtime stats: %+v", st)
 	}
-	if ei.StatsSnapshot() != st {
-		t.Fatalf("handles disagree on shared stats: %+v vs %+v", ei.StatsSnapshot(), st)
+	if ei.Stats() != st {
+		t.Fatalf("handles disagree on shared stats: %+v vs %+v", ei.Stats(), st)
 	}
 }
 
@@ -148,7 +148,7 @@ func TestPrepareSingleflight(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := e.StatsSnapshot()
+	st := e.Stats()
 	if st.PlanCacheMisses != 1 {
 		t.Fatalf("cold shape planned %d times under the herd, want 1: %+v", st.PlanCacheMisses, st)
 	}

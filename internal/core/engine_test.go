@@ -290,9 +290,6 @@ func TestValidateRejectsNonSemiringAggregate(t *testing.T) {
 	if !strings.Contains(err.Error(), "Tropical") {
 		t.Fatalf("error does not route users to Tropical: %v", err)
 	}
-	if _, _, err := Solve(q, DefaultOptions()); err == nil {
-		t.Fatal("Solve accepted an OpFloatMin aggregate")
-	}
 	e := NewEngine[float64](EngineOptions{})
 	defer e.Close()
 	if _, err := e.Prepare(q); err == nil {
@@ -316,7 +313,11 @@ func TestValidateRejectsNonSemiringAggregate(t *testing.T) {
 		},
 		Factors: []*factor.Factor[float64]{mk([]int{0, 1}), mk([]int{1, 2}), mk([]int{0, 2})},
 	}
-	res, _, err := Solve(tq, DefaultOptions())
+	prep, err := e.Prepare(tq)
+	if err != nil {
+		t.Fatalf("tropical min-product: %v", err)
+	}
+	res, err := prep.Run(context.Background())
 	if err != nil {
 		t.Fatalf("tropical min-product: %v", err)
 	}

@@ -133,7 +133,7 @@ func TestEVOSoundnessBySemantics(t *testing.T) {
 			if reflect.DeepEqual(order, s.ExpressionOrder()) {
 				foundIdentity = true
 			}
-			res, err := InsideOut(q, order, DefaultOptions())
+			res, err := runOrder(q, order, DefaultOptions())
 			if err != nil {
 				t.Fatalf("trial %d order %v: %v", trial, order, err)
 			}
@@ -173,7 +173,7 @@ func TestNonEVOOrderingCanDiffer(t *testing.T) {
 	if want != 2 {
 		t.Fatalf("brute force = %v, hand computed 2", want)
 	}
-	res, err := InsideOut(q, []int{1, 0}, DefaultOptions())
+	res, err := runOrder(q, []int{1, 0}, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,17 +28,17 @@ type Options struct {
 	// Section 8.4 instead of listing it.  Result.Output stays nil; use
 	// Result.Factorized.
 	Factorized bool
-	// Workers sizes the block-parallel executor that runs each
-	// variable-elimination scan and output join: 0 (the default) means
-	// GOMAXPROCS, 1 forces the sequential executor, larger values cap the
-	// worker pool.  Every worker count produces bit-identical results;
-	// scalar-output scans always run sequentially so ⊕-folds never
-	// re-associate.
+	// Workers caps the blocks in flight of each variable-elimination scan
+	// and output join on the engine's pool: 0 (the default) runs at the
+	// pool's full width, 1 runs every scan on the calling goroutine, and
+	// values above the engine's pool width are capped to it.  Every worker
+	// count produces bit-identical results; scalar-output scans always run
+	// sequentially so ⊕-folds never re-associate.
 	Workers int
 }
 
-// DefaultOptions returns the configuration matching Algorithm 1, with the
-// parallel executor sized to GOMAXPROCS.
+// DefaultOptions returns the configuration matching Algorithm 1, run at the
+// engine pool's full width.
 func DefaultOptions() Options {
 	return Options{IndicatorProjections: true, FilterOutput: true}
 }
@@ -79,36 +79,13 @@ type entry[V any] struct {
 	f    *factor.Factor[V]
 }
 
-// InsideOut evaluates the query along the variable ordering order, which
-// must be φ-equivalent (members of LinEx(P) always are; the expression order
-// 0..n-1 trivially is).  This is Algorithm 1 of the paper.
-func InsideOut[V any](q *Query[V], order []int, opts Options) (*Result[V], error) {
-	return InsideOutCtx(context.Background(), q, order, opts)
-}
-
-// InsideOutCtx is InsideOut under a context: cancellation is observed
-// between elimination steps and at the block boundaries of every scan, so a
-// cancelled run returns ctx.Err() promptly and leaks no goroutines.
-func InsideOutCtx[V any](ctx context.Context, q *Query[V], order []int, opts Options) (*Result[V], error) {
-	return insideOutOn(ctx, q, order, opts, newExecutor[V](opts.Workers))
-}
-
-// insideOutOn is the engine-internal entry point: the executor (and with it
-// the worker pool) is chosen by the caller, so a long-lived Engine reuses
-// one persistent pool across elimination steps, runs and queries.
-func insideOutOn[V any](ctx context.Context, q *Query[V], order []int, opts Options,
-	exec executor[V]) (*Result[V], error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	return insideOutValidated(ctx, q, order, opts, exec)
-}
-
-// insideOutValidated is insideOutOn for callers that have already validated
-// q (PreparedQuery runs validate at Prepare/RunWithFactors time, not per
-// run — Validate walks every input tuple, which would tax exactly the hot
-// path the prepared API amortizes).
-func insideOutValidated[V any](ctx context.Context, q *Query[V], order []int, opts Options,
+// insideOut evaluates the already-validated query q along the variable
+// ordering order, which must be φ-equivalent (members of LinEx(P) always
+// are; the expression order 0..n-1 trivially is).  This is Algorithm 1 of
+// the paper.  PreparedQuery runs validate at Prepare/RunWithFactors time,
+// not per run: Validate walks every input tuple, which would tax exactly
+// the hot path the prepared API amortizes.
+func insideOut[V any](ctx context.Context, q *Query[V], order []int, opts Options,
 	exec executor[V]) (*Result[V], error) {
 	shape := q.Shape()
 	if err := shape.checkOrder(order); err != nil {
@@ -404,7 +381,7 @@ type Factorized[V any] struct {
 	Base      []*factor.Factor[V]
 	Filters   []*factor.Factor[V]
 
-	exec executor[V] // set by InsideOut; nil means sequential
+	exec executor[V] // the run's executor; the zero value runs inline
 }
 
 func (fz *Factorized[V]) joinInputs() []*factor.Factor[V] {
@@ -421,11 +398,7 @@ func (fz *Factorized[V]) ToListing(st *join.Stats) (*factor.Factor[V], error) {
 }
 
 func (fz *Factorized[V]) toListing(ctx context.Context, st *join.Stats) (*factor.Factor[V], error) {
-	exec := fz.exec
-	if exec == nil {
-		exec = seqExecutor[V]{}
-	}
-	return exec.joinAll(ctx, fz.D, fz.joinInputs(), nil, fz.FreeOrder, st)
+	return fz.exec.joinAll(ctx, fz.D, fz.joinInputs(), nil, fz.FreeOrder, st)
 }
 
 // Enumerate streams output tuples (aligned with sorted free variables) in

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -9,6 +10,31 @@ import (
 )
 
 var fd = semiring.Float()
+
+// runOrder runs q along order with opts on an engine of its own (pool
+// width GOMAXPROCS), closed before it returns.
+func runOrder[V any](q *Query[V], order []int, opts Options) (*Result[V], error) {
+	e := NewEngine[V](EngineOptions{})
+	defer e.Close()
+	prep, err := e.PrepareOrder(q, order, opts)
+	if err != nil {
+		return nil, err
+	}
+	return prep.Run(context.Background())
+}
+
+// solve plans q and runs it with opts on an engine of its own (pool width
+// GOMAXPROCS), closed before it returns.
+func solve[V any](q *Query[V], opts Options) (*Result[V], *Plan, error) {
+	e := NewEngine[V](EngineOptions{})
+	defer e.Close()
+	prep, err := e.PrepareCtx(context.Background(), q, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := prep.Run(context.Background())
+	return res, prep.Plan(), err
+}
 
 func mkFactor(t testing.TB, vars []int, tuples [][]int, values []float64) *factor.Factor[float64] {
 	t.Helper()
@@ -47,7 +73,7 @@ func triangleQuery(t testing.TB, dom int, edges [][]int) *Query[float64] {
 func TestInsideOutTriangleCount(t *testing.T) {
 	edges := [][]int{{0, 1}, {1, 2}, {0, 2}, {1, 0}, {2, 1}, {2, 0}, {0, 3}, {3, 0}}
 	q := triangleQuery(t, 4, edges)
-	res, err := InsideOut(q, q.Shape().ExpressionOrder(), DefaultOptions())
+	res, err := runOrder(q, q.Shape().ExpressionOrder(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +102,7 @@ func TestInsideOutMarginalWithFreeVars(t *testing.T) {
 		},
 		Factors: []*factor.Factor[float64]{f01, f12},
 	}
-	res, err := InsideOut(q, []int{0, 1, 2}, DefaultOptions())
+	res, err := runOrder(q, []int{0, 1, 2}, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +126,7 @@ func TestInsideOutMAP(t *testing.T) {
 		},
 		Factors: []*factor.Factor[float64]{f01, f1},
 	}
-	res, err := InsideOut(q, []int{0, 1}, DefaultOptions())
+	res, err := runOrder(q, []int{0, 1}, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +149,7 @@ func TestInsideOutMixedSumMax(t *testing.T) {
 		},
 		Factors: []*factor.Factor[float64]{f01, f12},
 	}
-	res, err := InsideOut(q, []int{0, 1, 2}, DefaultOptions())
+	res, err := runOrder(q, []int{0, 1, 2}, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +173,7 @@ func TestInsideOutProductAggregateIdempotent(t *testing.T) {
 		Factors:          []*factor.Factor[float64]{f01, f12},
 		IdempotentInputs: true,
 	}
-	res, err := InsideOut(q, []int{0, 1, 2}, DefaultOptions())
+	res, err := runOrder(q, []int{0, 1, 2}, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +196,7 @@ func TestInsideOutProductAggregateNonIdempotent(t *testing.T) {
 		},
 		Factors: []*factor.Factor[float64]{f01, f0},
 	}
-	res, err := InsideOut(q, []int{0, 1}, DefaultOptions())
+	res, err := runOrder(q, []int{0, 1}, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +222,7 @@ func TestInsideOutMissingProductRow(t *testing.T) {
 		Aggs:    []Aggregate[float64]{Free[float64](), ProductAgg[float64]()},
 		Factors: []*factor.Factor[float64]{f01},
 	}
-	res, err := InsideOut(q, []int{0, 1}, DefaultOptions())
+	res, err := runOrder(q, []int{0, 1}, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,16 +237,16 @@ func TestInsideOutMissingProductRow(t *testing.T) {
 
 func TestInsideOutValidation(t *testing.T) {
 	q := triangleQuery(t, 2, [][]int{{0, 0}})
-	if _, err := InsideOut(q, []int{0, 1}, DefaultOptions()); err == nil {
+	if _, err := runOrder(q, []int{0, 1}, DefaultOptions()); err == nil {
 		t.Fatal("short ordering should fail")
 	}
-	if _, err := InsideOut(q, []int{0, 1, 1}, DefaultOptions()); err == nil {
+	if _, err := runOrder(q, []int{0, 1, 1}, DefaultOptions()); err == nil {
 		t.Fatal("non-permutation should fail")
 	}
 	// Free variables must be listed first.
 	q.NumFree = 1
 	q.Aggs[0] = Free[float64]()
-	if _, err := InsideOut(q, []int{1, 0, 2}, DefaultOptions()); err == nil {
+	if _, err := runOrder(q, []int{1, 0, 2}, DefaultOptions()); err == nil {
 		t.Fatal("free variable not first should fail")
 	}
 }
@@ -234,7 +260,7 @@ func TestInsideOutIsolatedVariableRejected(t *testing.T) {
 		},
 		Factors: []*factor.Factor[float64]{f},
 	}
-	if _, err := InsideOut(q, []int{0, 1}, DefaultOptions()); err == nil {
+	if _, err := runOrder(q, []int{0, 1}, DefaultOptions()); err == nil {
 		t.Fatal("variable in no factor should be rejected")
 	}
 }
@@ -251,7 +277,7 @@ func TestInsideOutAblationsAgree(t *testing.T) {
 		{IndicatorProjections: true, FilterOutput: false},
 		{IndicatorProjections: false, FilterOutput: false},
 	} {
-		res, err := InsideOut(q, q.Shape().ExpressionOrder(), opts)
+		res, err := runOrder(q, q.Shape().ExpressionOrder(), opts)
 		if err != nil {
 			t.Fatalf("%+v: %v", opts, err)
 		}
@@ -265,7 +291,7 @@ func TestFactorizedOutput(t *testing.T) {
 	q := randomQuery(rand.New(rand.NewSource(7)), 4, 2)
 	opts := DefaultOptions()
 	opts.Factorized = true
-	res, err := InsideOut(q, q.Shape().ExpressionOrder(), opts)
+	res, err := runOrder(q, q.Shape().ExpressionOrder(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +433,7 @@ func TestQuickInsideOutMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := InsideOut(q, q.Shape().ExpressionOrder(), DefaultOptions())
+		res, err := runOrder(q, q.Shape().ExpressionOrder(), DefaultOptions())
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -289,37 +289,6 @@ func stableLinearize(seq []int, poset *Poset) []int {
 	return out
 }
 
-// Solve plans an ordering and runs InsideOut with it: the one-shot
-// compatibility entry point, now a thin wrapper over the default engine's
-// persistent runtime.  Every call replans from scratch (unlike
-// Engine.Prepare it does not consult the plan cache, so its cost model is
-// unchanged from the pre-engine API), then executes on the default engine's
-// persistent worker pool — except with Workers = 1, which runs sequentially
-// on the calling goroutine and never creates or grows that pool.  Callers
-// issuing the same query shape repeatedly should Prepare once on an Engine
-// instead.
-func Solve[V any](q *Query[V], opts Options) (*Result[V], *Plan, error) {
-	return SolveCtx(context.Background(), q, opts)
-}
-
-// SolveCtx is Solve under a context, observed by the exact planner and at
-// the block boundaries of every scan.
-func SolveCtx[V any](ctx context.Context, q *Query[V], opts Options) (*Result[V], *Plan, error) {
-	if err := q.Validate(); err != nil {
-		return nil, nil, err
-	}
-	s := q.Shape()
-	plan, err := planWith(ctx, s, "auto")
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := insideOutValidated(ctx, q, plan.Order, opts, newExecutor[V](opts.Workers))
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, plan, nil
-}
-
 // ChoosePlan picks the best available planning strategy for the query size:
 // exact DP for up to 18 variables, else the Section 7 approximation with the
 // greedy black box, keeping whichever beats the expression order.

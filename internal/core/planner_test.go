@@ -168,7 +168,7 @@ func TestPlannersAgreeWithBruteForce(t *testing.T) {
 			if math.Abs(w-plan.Width) > 1e-6 {
 				t.Fatalf("trial %d: %s claims width %v, realizes %v", trial, plan.Method, plan.Width, w)
 			}
-			res, err := InsideOut(q, plan.Order, DefaultOptions())
+			res, err := runOrder(q, plan.Order, DefaultOptions())
 			if err != nil {
 				t.Fatalf("trial %d (%s): %v", trial, plan.Method, err)
 			}
@@ -213,7 +213,7 @@ func TestSolveEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, plan, err := Solve(q, DefaultOptions())
+		res, plan, err := solve(q, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +221,7 @@ func TestSolveEndToEnd(t *testing.T) {
 			t.Fatal("solve returned a bogus plan")
 		}
 		if !res.Output.Equal(fd, want) {
-			t.Fatalf("trial %d: Solve output mismatch under %s", trial, plan.Method)
+			t.Fatalf("trial %d: planned run output mismatch under %s", trial, plan.Method)
 		}
 	}
 }

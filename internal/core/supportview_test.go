@@ -87,8 +87,9 @@ func nestedQuery[V any](rng *rand.Rand, c supportCase[V]) *Query[V] {
 }
 
 // checkSupportView runs random nested queries with indicator projections on
-// and off, one-shot and prepared (cold and warm), and requires every
-// result to equal the brute-force oracle row for row and bit for bit.
+// and off along the expression order, and prepared on the planned order
+// (cold and warm), and requires every result to equal the brute-force
+// oracle row for row and bit for bit.
 func checkSupportView[V any](t *testing.T, seed int64, c supportCase[V]) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -118,13 +119,13 @@ func checkSupportView[V any](t *testing.T, seed int64, c supportCase[V]) {
 		off := on
 		off.IndicatorProjections = false
 		for _, opts := range []Options{on, off} {
-			res, err := InsideOut(q, q.Shape().ExpressionOrder(), opts)
+			res, err := runOrder(q, q.Shape().ExpressionOrder(), opts)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
-			same(trial, "one-shot", res.Output, want)
+			same(trial, "expression order", res.Output, want)
 		}
-		prep, err := eng.PrepareOpts(q, on)
+		prep, err := eng.PrepareCtx(context.Background(), q, on)
 		if err != nil {
 			t.Fatal(err)
 		}

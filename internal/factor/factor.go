@@ -296,9 +296,9 @@ func (f *Factor[V]) Tuple(i int, buf []int) []int {
 	return buf
 }
 
-// Tuples materializes every row as a fresh [][]int — the compatibility and
-// serialization view of the block.  Hot paths should iterate Row/Rows
-// instead.
+// Tuples materializes every row as a fresh [][]int, the form the JSON
+// response encoders and the join front end hand out.  Hot paths should
+// iterate Row/Rows instead.
 func (f *Factor[V]) Tuples() [][]int {
 	out := make([][]int, f.Size())
 	for i := range out {

@@ -67,8 +67,8 @@ func Workers(n int) int {
 // ParallelFor runs fn(0), ..., fn(n-1) on a pool of up to `workers`
 // goroutines pulling indices from a shared channel; workers <= 1 runs
 // inline.  It spawns transient goroutines per call — the one-shot shape
-// used by the parallel brute-force oracle and the parallel merge sort;
-// engine scans go through Pool.Run instead.
+// of the parallel brute-force oracle; engine scans go through Pool.Run
+// instead.
 func ParallelFor(n, workers int, fn func(i int)) {
 	if workers > n {
 		workers = n

@@ -20,8 +20,8 @@ import (
 // Pool is a persistent worker pool.  The zero value is not usable; create
 // pools with NewPool.  A nil *Pool is valid everywhere and means "inline".
 type Pool struct {
+	size   int // runners per Run, the caller included; fixed at NewPool
 	mu     sync.RWMutex
-	size   int
 	tasks  chan func()
 	closed bool
 	done   sync.WaitGroup // worker exits, for Close
@@ -33,45 +33,13 @@ type Pool struct {
 // to waiting — the caller is always one of its own runners).
 const poolTaskBuffer = 256
 
-// NewPool starts a pool of n persistent workers (n < 1 means GOMAXPROCS).
+// NewPool starts a pool of size n (n < 1 means GOMAXPROCS): n-1 persistent
+// worker goroutines, because the caller of every Run is one of its runners.
 // A pool of size 1 starts no goroutines: every Run executes inline.
 func NewPool(n int) *Pool {
-	p := &Pool{tasks: make(chan func(), poolTaskBuffer)}
-	p.Grow(Workers(n))
-	return p
-}
-
-// Size returns the current number of persistent workers.
-func (p *Pool) Size() int {
-	if p == nil {
-		return 1
-	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.size
-}
-
-// Grow raises the worker count to n (never shrinks).  It is how the shared
-// default pool adapts when a caller requests more parallelism than
-// GOMAXPROCS: the extra workers are persistent, so repeated oversubscribed
-// runs reuse them instead of re-spawning.
-func (p *Pool) Grow(n int) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return
-	}
-	// size 1 means "inline": the first worker goroutine only exists once a
-	// second runner could be active concurrently.
-	if p.size == 0 {
-		p.size = 1
-	}
-	for p.size < n {
-		p.size++
-		p.done.Add(1)
+	p := &Pool{size: Workers(n), tasks: make(chan func(), poolTaskBuffer)}
+	p.done.Add(p.size - 1)
+	for w := 1; w < p.size; w++ {
 		go func() {
 			defer p.done.Done()
 			for fn := range p.tasks {
@@ -79,6 +47,15 @@ func (p *Pool) Grow(n int) {
 			}
 		}()
 	}
+	return p
+}
+
+// Size returns the pool's width: the most runners one Run can use.
+func (p *Pool) Size() int {
+	if p == nil {
+		return 1
+	}
+	return p.size
 }
 
 // Close shuts the persistent workers down and waits for them to exit.

@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/faqdb/faq/internal/testutil"
 )
 
 func TestPoolRunCoversAllIndices(t *testing.T) {
@@ -122,40 +125,47 @@ func TestPoolRunLimitCapsConcurrency(t *testing.T) {
 }
 
 func TestPoolCloseStopsWorkers(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := testutil.SnapshotGoroutines()
 	pool := NewPool(8)
+	if n := len(before.Started()); n != 7 {
+		t.Fatalf("NewPool(8) started %d workers, want 7 (the caller is the eighth runner)", n)
+	}
 	if err := pool.Run(context.Background(), 32, 0, func(int) {}); err != nil {
 		t.Fatal(err)
 	}
 	pool.Close()
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("goroutines leaked after Close: %d -> %d", before, after)
-	}
+	before.ExpectNoneStarted(t)
 }
 
-func TestPoolGrow(t *testing.T) {
-	pool := NewPool(1)
+func TestPoolSize(t *testing.T) {
+	var nilPool *Pool
+	if nilPool.Size() != 1 {
+		t.Fatalf("nil pool size = %d, want 1", nilPool.Size())
+	}
+	before := testutil.SnapshotGoroutines()
+	inline := NewPool(1)
+	defer inline.Close()
+	if inline.Size() != 1 {
+		t.Fatalf("size = %d, want 1", inline.Size())
+	}
+	if started := before.Started(); len(started) != 0 {
+		t.Fatalf("a pool of size 1 started goroutines:\n%s", strings.Join(started, "\n\n"))
+	}
+	wide := NewPool(0)
+	defer wide.Close()
+	if got, want := wide.Size(), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("NewPool(0) size = %d, want GOMAXPROCS = %d", got, want)
+	}
+	pool := NewPool(4)
 	defer pool.Close()
-	if pool.Size() != 1 {
-		t.Fatalf("size = %d, want 1", pool.Size())
-	}
-	pool.Grow(4)
 	if pool.Size() != 4 {
-		t.Fatalf("size after Grow(4) = %d", pool.Size())
-	}
-	pool.Grow(2) // never shrinks
-	if pool.Size() != 4 {
-		t.Fatalf("size after Grow(2) = %d, want 4", pool.Size())
+		t.Fatalf("size = %d, want 4", pool.Size())
 	}
 	var ran atomic.Int32
 	if err := pool.Run(context.Background(), 16, 0, func(int) { ran.Add(1) }); err != nil {
 		t.Fatal(err)
 	}
 	if ran.Load() != 16 {
-		t.Fatalf("grown pool ran %d of 16", ran.Load())
+		t.Fatalf("pool ran %d of 16", ran.Load())
 	}
 }

@@ -209,17 +209,17 @@ func CompileSharpQCQ(q *Query) (*core.Query[int64], error) {
 	return cq, nil
 }
 
-// SolveQCQ evaluates a quantified conjunctive query: for NumFree = 0 the
-// Boolean answer, otherwise the listing of free-variable tuples satisfying
-// Φ.  The variable ordering is chosen by the planner.
-func SolveQCQ(q *Query) (*factor.Factor[bool], error) {
+// SolveQCQ evaluates a quantified conjunctive query on e: for NumFree = 0
+// the Boolean answer, otherwise the listing of free-variable tuples
+// satisfying Φ.  The variable ordering is chosen by the planner, so a sweep
+// of shape-identical queries (examples/logic) plans once and hits e's plan
+// cache thereafter.
+func SolveQCQ(e *core.Engine[bool], q *Query) (*factor.Factor[bool], error) {
 	cq, err := CompileQCQ(q)
 	if err != nil {
 		return nil, err
 	}
-	// Prepared on the shared default engine: a sweep of shape-identical
-	// queries (examples/logic) plans once and hits the plan LRU thereafter.
-	prep, err := core.DefaultEngine[bool]().Prepare(cq)
+	prep, err := e.Prepare(cq)
 	if err != nil {
 		return nil, err
 	}
@@ -230,14 +230,14 @@ func SolveQCQ(q *Query) (*factor.Factor[bool], error) {
 	return res.Output, nil
 }
 
-// CountQCQ solves #QCQ: the number of free-variable assignments satisfying
-// the quantified query.
-func CountQCQ(q *Query) (int64, error) {
+// CountQCQ solves #QCQ on e: the number of free-variable assignments
+// satisfying the quantified query.
+func CountQCQ(e *core.Engine[int64], q *Query) (int64, error) {
 	cq, err := CompileSharpQCQ(q)
 	if err != nil {
 		return 0, err
 	}
-	prep, err := core.DefaultEngine[int64]().Prepare(cq)
+	prep, err := e.Prepare(cq)
 	if err != nil {
 		return 0, err
 	}
@@ -250,33 +250,33 @@ func CountQCQ(q *Query) (int64, error) {
 
 // CountCQ solves #CQ (Table 1 row 3): the number of free-variable tuples
 // with an extension satisfying all atoms; all bound variables are ∃.
-func CountCQ(q *Query) (int64, error) {
+func CountCQ(e *core.Engine[int64], q *Query) (int64, error) {
 	for _, qu := range q.Quants {
 		if qu != Exists {
 			return 0, fmt.Errorf("logicq: #CQ requires all bound quantifiers to be ∃")
 		}
 	}
-	return CountQCQ(q)
+	return CountQCQ(e, q)
 }
 
 // EvalCQ evaluates a conjunctive query (Example A.5): the listing of free
 // variable tuples.  All bound variables must be ∃.
-func EvalCQ(q *Query) (*factor.Factor[bool], error) {
+func EvalCQ(e *core.Engine[bool], q *Query) (*factor.Factor[bool], error) {
 	for _, qu := range q.Quants {
 		if qu != Exists {
 			return nil, fmt.Errorf("logicq: CQ evaluation requires all bound quantifiers to be ∃")
 		}
 	}
-	return SolveQCQ(q)
+	return SolveQCQ(e, q)
 }
 
 // BoolCQ answers a Boolean conjunctive query (Example A.3): all variables
 // bound by ∃.
-func BoolCQ(q *Query) (bool, error) {
+func BoolCQ(e *core.Engine[bool], q *Query) (bool, error) {
 	if q.NumFree != 0 {
 		return false, fmt.Errorf("logicq: BCQ has no free variables")
 	}
-	out, err := SolveQCQ(q)
+	out, err := SolveQCQ(e, q)
 	if err != nil {
 		return false, err
 	}

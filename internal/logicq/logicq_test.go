@@ -3,6 +3,8 @@ package logicq
 import (
 	"math/rand"
 	"testing"
+
+	"github.com/faqdb/faq/internal/core"
 )
 
 // pathQuery builds Φ(x0) = Q1 x1 Q2 x2 (R(x0,x1) ∧ S(x1,x2)) over dom.
@@ -32,13 +34,15 @@ func randomRelation(rng *rand.Rand, name string, arity, dom, size int) *Relation
 }
 
 func TestBoolCQ(t *testing.T) {
+	bools := core.NewEngine[bool](core.EngineOptions{})
+	defer bools.Close()
 	r := &Relation{Name: "R", Arity: 2}
 	r.Add(0, 1)
 	s := &Relation{Name: "S", Arity: 2}
 	s.Add(1, 0)
 	q := pathQuery(r, s, 2, 0, Exists, Exists, Exists)
 	q.Quants = []Quantifier{Exists, Exists, Exists}
-	got, err := BoolCQ(q)
+	got, err := BoolCQ(bools, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +51,7 @@ func TestBoolCQ(t *testing.T) {
 	}
 	// Remove the join partner.
 	s.Tuples = [][]int{{0, 0}}
-	got, err = BoolCQ(q)
+	got, err = BoolCQ(bools, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,13 +61,15 @@ func TestBoolCQ(t *testing.T) {
 }
 
 func TestEvalCQListsAnswers(t *testing.T) {
+	bools := core.NewEngine[bool](core.EngineOptions{})
+	defer bools.Close()
 	r := &Relation{Name: "R", Arity: 2}
 	r.Add(0, 1)
 	r.Add(1, 1)
 	s := &Relation{Name: "S", Arity: 2}
 	s.Add(1, 0)
 	q := pathQuery(r, s, 2, 1, Exists, Exists)
-	out, err := EvalCQ(q)
+	out, err := EvalCQ(bools, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,13 +79,15 @@ func TestEvalCQListsAnswers(t *testing.T) {
 }
 
 func TestCountCQ(t *testing.T) {
+	counts := core.NewEngine[int64](core.EngineOptions{})
+	defer counts.Close()
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 40; trial++ {
 		dom := 2 + rng.Intn(3)
 		r := randomRelation(rng, "R", 2, dom, 1+rng.Intn(6))
 		s := randomRelation(rng, "S", 2, dom, 1+rng.Intn(6))
 		q := pathQuery(r, s, dom, 1, Exists, Exists)
-		got, err := CountCQ(q)
+		got, err := CountCQ(counts, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,14 +102,18 @@ func TestCountCQ(t *testing.T) {
 }
 
 func TestCountCQRejectsForAll(t *testing.T) {
+	counts := core.NewEngine[int64](core.EngineOptions{})
+	defer counts.Close()
 	r := &Relation{Name: "R", Arity: 2}
 	q := pathQuery(r, r, 2, 1, ForAll, Exists)
-	if _, err := CountCQ(q); err == nil {
+	if _, err := CountCQ(counts, q); err == nil {
 		t.Fatal("#CQ with ∀ should be rejected")
 	}
 }
 
 func TestQCQAlternation(t *testing.T) {
+	bools := core.NewEngine[bool](core.EngineOptions{})
+	defer bools.Close()
 	// Φ = ∀x0 ∃x1 R(x0, x1): true iff every domain value has an R-successor.
 	r := &Relation{Name: "R", Arity: 2}
 	r.Add(0, 1)
@@ -111,7 +123,7 @@ func TestQCQAlternation(t *testing.T) {
 		Quants: []Quantifier{ForAll, Exists},
 		Atoms:  []Atom{{Rel: r, Vars: []int{0, 1}}},
 	}
-	out, err := SolveQCQ(q)
+	out, err := SolveQCQ(bools, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +131,7 @@ func TestQCQAlternation(t *testing.T) {
 		t.Fatal("∀∃ should hold")
 	}
 	r.Tuples = [][]int{{0, 1}} // value 1 now has no successor
-	out, err = SolveQCQ(q)
+	out, err = SolveQCQ(bools, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,6 +141,8 @@ func TestQCQAlternation(t *testing.T) {
 }
 
 func TestRepeatedVariableAtom(t *testing.T) {
+	bools := core.NewEngine[bool](core.EngineOptions{})
+	defer bools.Close()
 	// Φ = ∃x0 R(x0, x0): diagonal membership.
 	r := &Relation{Name: "R", Arity: 2}
 	r.Add(0, 1)
@@ -138,7 +152,7 @@ func TestRepeatedVariableAtom(t *testing.T) {
 		Quants: []Quantifier{Exists},
 		Atoms:  []Atom{{Rel: r, Vars: []int{0, 0}}},
 	}
-	got, err := BoolCQ(q)
+	got, err := BoolCQ(bools, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,6 +164,8 @@ func TestRepeatedVariableAtom(t *testing.T) {
 // Property: #QCQ via InsideOut equals naive enumeration on random quantified
 // queries with mixed prefixes.
 func TestQuickSharpQCQMatchesNaive(t *testing.T) {
+	counts := core.NewEngine[int64](core.EngineOptions{})
+	defer counts.Close()
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 60; trial++ {
 		nv := 2 + rng.Intn(3)
@@ -175,7 +191,7 @@ func TestQuickSharpQCQMatchesNaive(t *testing.T) {
 			q.Atoms = append(q.Atoms, Atom{Rel: rel, Vars: []int{a, b}})
 			covered[a], covered[b] = true, true
 		}
-		got, err := CountQCQ(q)
+		got, err := CountQCQ(counts, q)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -202,6 +218,8 @@ func allCovered(bs []bool) bool {
 // the complete relation the sentence holds; removing every successor of one
 // tuple breaks it.
 func TestChenDalmauSemantics(t *testing.T) {
+	bools := core.NewEngine[bool](core.EngineOptions{})
+	defer bools.Close()
 	n, dom := 3, 2
 	s := &Relation{Name: "S", Arity: n}
 	var fill func(t []int)
@@ -224,7 +242,7 @@ func TestChenDalmauSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := SolveQCQ(q)
+	out, err := SolveQCQ(bools, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +254,7 @@ func TestChenDalmauSemantics(t *testing.T) {
 	}
 	// Break totality of R for value 1.
 	r.Tuples = [][]int{{0, 0}}
-	out, err = SolveQCQ(q)
+	out, err = SolveQCQ(bools, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,10 +112,10 @@ func ChainDP(ms []*Matrix) (*Matrix, int64, int64, error) {
 
 // ChainFAQ computes the product A_1···A_n by compiling Example 1.1's FAQ —
 // variables X_1..X_{n+1} with Dom(X_i) = [p_i], factors ψ_{i,i+1} = A_i,
-// free variables X_1 and X_{n+1} — and running InsideOut with the planner's
-// ordering.  The planner's exact DP over the path hypergraph plays the role
-// of the parenthesization DP.
-func ChainFAQ(ms []*Matrix) (*Matrix, *core.Plan, error) {
+// free variables X_1 and X_{n+1} — and running InsideOut on e with the
+// planner's ordering.  The planner's exact DP over the path hypergraph
+// plays the role of the parenthesization DP.
+func ChainFAQ(e *core.Engine[float64], ms []*Matrix) (*Matrix, *core.Plan, error) {
 	n := len(ms)
 	if n == 0 {
 		return nil, nil, fmt.Errorf("matrixops: empty chain")
@@ -165,7 +165,7 @@ func ChainFAQ(ms []*Matrix) (*Matrix, *core.Plan, error) {
 		})
 		q.Factors = append(q.Factors, f)
 	}
-	prep, err := core.DefaultEngine[float64]().Prepare(q)
+	prep, err := e.Prepare(q)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -208,15 +208,15 @@ func NaiveDFT(b []complex128) []complex128 {
 // factor over all y-digits, and one twiddle factor ψ_{jk}(x_j, y_k) =
 // ω^{x_j·y_k·p^{j+k}} exists for every j+k < m.  Eliminating y_{m-1}, ...,
 // y_0 along the expression order performs O(p·N·m) = O(N log N) work: this
-// is the Cooley–Tukey FFT recovered by InsideOut.
-func FFTViaFAQ(b []complex128, p, m int) ([]complex128, error) {
+// is the Cooley–Tukey FFT recovered by InsideOut, run on e.
+func FFTViaFAQ(e *core.Engine[complex128], b []complex128, p, m int) ([]complex128, error) {
 	n := fftSize(p, m)
 	if len(b) != n {
 		return nil, fmt.Errorf("matrixops: input length %d, want p^m = %d", len(b), n)
 	}
 	q := fftQuery(b, p, m, n)
 	// The expression order eliminates y_{m-1} first — the FFT recursion.
-	prep, err := core.DefaultEngine[complex128]().PrepareOrder(q, q.Shape().ExpressionOrder(), core.DefaultOptions())
+	prep, err := e.PrepareOrder(q, q.Shape().ExpressionOrder(), core.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -316,14 +316,10 @@ type FFT struct {
 	rest    []*factor.Factor[complex128] // twiddles, shared across transforms
 }
 
-// NewFFT prepares a size-p^m DFT on the engine (nil means the default
-// engine).
+// NewFFT prepares a size-p^m DFT on the engine.
 func NewFFT(e *core.Engine[complex128], p, m int) (*FFT, error) {
 	if p < 2 || m < 1 {
 		return nil, fmt.Errorf("matrixops: bad DFT shape p=%d, m=%d", p, m)
-	}
-	if e == nil {
-		e = core.DefaultEngine[complex128]()
 	}
 	n := fftSize(p, m)
 	q := fftQuery(make([]complex128, n), p, m, n) // placeholder signal

@@ -91,6 +91,8 @@ func TestChainDPDimensionMismatch(t *testing.T) {
 }
 
 func TestChainFAQMatchesDP(t *testing.T) {
+	eng := core.NewEngine[float64](core.EngineOptions{})
+	defer eng.Close()
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 15; trial++ {
 		n := 2 + rng.Intn(4)
@@ -106,7 +108,7 @@ func TestChainFAQMatchesDP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, plan, err := ChainFAQ(ms)
+		got, plan, err := ChainFAQ(eng, ms)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,9 +122,11 @@ func TestChainFAQMatchesDP(t *testing.T) {
 }
 
 func TestChainFAQSingleMatrix(t *testing.T) {
+	eng := core.NewEngine[float64](core.EngineOptions{})
+	defer eng.Close()
 	rng := rand.New(rand.NewSource(4))
 	m := randomMatrix(rng, 3, 4)
-	got, _, err := ChainFAQ([]*Matrix{m})
+	got, _, err := ChainFAQ(eng, []*Matrix{m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,6 +154,8 @@ func TestNaiveDFTKnownValues(t *testing.T) {
 }
 
 func TestFFTViaFAQMatchesNaive(t *testing.T) {
+	eng := core.NewEngine[complex128](core.EngineOptions{})
+	defer eng.Close()
 	rng := rand.New(rand.NewSource(5))
 	cases := []struct{ p, m int }{{2, 1}, {2, 3}, {2, 5}, {3, 2}, {3, 3}, {5, 2}}
 	for _, c := range cases {
@@ -161,7 +167,7 @@ func TestFFTViaFAQMatchesNaive(t *testing.T) {
 		for i := range b {
 			b[i] = complex(rng.Float64()*2-1, rng.Float64()*2-1)
 		}
-		got, err := FFTViaFAQ(b, c.p, c.m)
+		got, err := FFTViaFAQ(eng, b, c.p, c.m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +181,9 @@ func TestFFTViaFAQMatchesNaive(t *testing.T) {
 }
 
 func TestFFTViaFAQLengthValidation(t *testing.T) {
-	if _, err := FFTViaFAQ(make([]complex128, 5), 2, 2); err == nil {
+	eng := core.NewEngine[complex128](core.EngineOptions{})
+	defer eng.Close()
+	if _, err := FFTViaFAQ(eng, make([]complex128, 5), 2, 2); err == nil {
 		t.Fatal("wrong length should fail")
 	}
 }
@@ -227,6 +235,8 @@ func TestNewFFTRejectsBadShape(t *testing.T) {
 }
 
 func BenchmarkFFTViaFAQ1024(b *testing.B) {
+	eng := core.NewEngine[complex128](core.EngineOptions{})
+	defer eng.Close()
 	rng := rand.New(rand.NewSource(1))
 	x := make([]complex128, 1024)
 	for i := range x {
@@ -234,7 +244,7 @@ func BenchmarkFFTViaFAQ1024(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := FFTViaFAQ(x, 2, 10); err != nil {
+		if _, err := FFTViaFAQ(eng, x, 2, 10); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -24,32 +24,19 @@ type Model struct {
 	DomSizes   []int
 	Potentials []*factor.Factor[float64]
 
-	engine *core.Engine[float64]
-}
-
-// UseEngine routes every inference call of this model through the given
-// engine and returns the model.  Inference on a graphical model is the
-// archetypal prepare-once-run-many workload — a marginal sweep or the n·d
-// conditioned MAP evaluations of MAPAssignment reuse a handful of query
-// shapes — so all planning is served from the engine's plan cache and all
-// scans run on its persistent pool.  A nil receiver-engine (the default)
-// means the shared default engine.
-func (m *Model) UseEngine(e *core.Engine[float64]) *Model {
-	m.engine = e
-	return m
-}
-
-func (m *Model) solver() *core.Engine[float64] {
-	if m.engine != nil {
-		return m.engine
-	}
-	return core.DefaultEngine[float64]()
+	// Engine runs every inference call of the model and must be set
+	// before the first one.  Inference on a graphical model is the
+	// archetypal prepare-once-run-many workload — a marginal sweep or the
+	// n·d conditioned MAP evaluations of MAPAssignment reuse a handful of
+	// query shapes — so all planning is served from the engine's plan
+	// cache and all scans run on its persistent pool.
+	Engine *core.Engine[float64]
 }
 
 // solve prepares q on the model's engine (hitting the plan cache for
 // repeated shapes) and runs InsideOut on the engine's pool.
 func (m *Model) solve(q *core.Query[float64]) (*core.Result[float64], error) {
-	prep, err := m.solver().Prepare(q)
+	prep, err := m.Engine.Prepare(q)
 	if err != nil {
 		return nil, err
 	}
@@ -181,7 +168,7 @@ func (m *Model) MAPAssignment() ([]int, float64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	cond := &Model{NumVars: m.NumVars, DomSizes: m.DomSizes, Potentials: m.Potentials, engine: m.engine}
+	cond := &Model{NumVars: m.NumVars, DomSizes: m.DomSizes, Potentials: m.Potentials, Engine: m.Engine}
 	assignment := make([]int, m.NumVars)
 	for v := 0; v < m.NumVars; v++ {
 		found := false
@@ -208,7 +195,7 @@ func (m *Model) MAPAssignment() ([]int, float64, error) {
 // Conditioning preserves every factor's variable set, so the conditioned
 // model has the same query shape and its plans come from the cache.
 func conditionModel(m *Model, v, x int) *Model {
-	out := &Model{NumVars: m.NumVars, DomSizes: m.DomSizes, engine: m.engine}
+	out := &Model{NumVars: m.NumVars, DomSizes: m.DomSizes, Engine: m.Engine}
 	for _, p := range m.Potentials {
 		if p.VarPos(v) >= 0 {
 			out.Potentials = append(out.Potentials, p.Condition(map[int]int{v: x}))

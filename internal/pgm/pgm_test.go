@@ -16,6 +16,14 @@ func approxEq(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*scale
 }
 
+// withEngine binds m to an engine of its own, closed when the test ends.
+func withEngine(t testing.TB, m *Model) *Model {
+	e := core.NewEngine[float64](core.EngineOptions{})
+	t.Cleanup(e.Close)
+	m.Engine = e
+	return m
+}
+
 func TestValidate(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := Chain(rng, 4, 2)
@@ -31,11 +39,11 @@ func TestValidate(t *testing.T) {
 func TestMarginalMatchesBruteForceOnModels(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	models := map[string]*Model{
-		"chain":  Chain(rng, 5, 3),
-		"grid":   Grid(rng, 2, 3, 2),
-		"cycle":  Cycle(rng, 5, 2),
-		"tree":   RandomTree(rng, 6, 2),
-		"single": Chain(rng, 1, 4),
+		"chain":  withEngine(t, Chain(rng, 5, 3)),
+		"grid":   withEngine(t, Grid(rng, 2, 3, 2)),
+		"cycle":  withEngine(t, Cycle(rng, 5, 2)),
+		"tree":   withEngine(t, RandomTree(rng, 6, 2)),
+		"single": withEngine(t, Chain(rng, 1, 4)),
 	}
 	for name, m := range models {
 		for _, queryVars := range [][]int{nil, {0}, {0, m.NumVars - 1}} {
@@ -66,7 +74,7 @@ func TestMarginalMatchesBruteForceOnModels(t *testing.T) {
 func TestPartitionAndMAP(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 10; trial++ {
-		m := Cycle(rng, 4+trial%3, 2)
+		m := withEngine(t, Cycle(rng, 4+trial%3, 2))
 		z, err := m.Partition()
 		if err != nil {
 			t.Fatal(err)
@@ -98,7 +106,7 @@ func TestPartitionAndMAP(t *testing.T) {
 func TestMAPAssignmentRealizesValue(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 8; trial++ {
-		m := Grid(rng, 2, 3, 2)
+		m := withEngine(t, Grid(rng, 2, 3, 2))
 		assignment, val, err := m.MAPAssignment()
 		if err != nil {
 			t.Fatal(err)
@@ -124,7 +132,7 @@ func TestMAPAssignmentRealizesValue(t *testing.T) {
 
 func TestMarginalQueryVarValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	m := Chain(rng, 3, 2)
+	m := withEngine(t, Chain(rng, 3, 2))
 	if _, err := m.Marginal([]int{7}); err == nil {
 		t.Fatal("unknown query variable should fail")
 	}
@@ -136,7 +144,7 @@ func TestMarginalQueryVarValidation(t *testing.T) {
 func TestMarginalConsistency(t *testing.T) {
 	// Σ over a marginal equals the partition function.
 	rng := rand.New(rand.NewSource(19))
-	m := Grid(rng, 2, 2, 3)
+	m := withEngine(t, Grid(rng, 2, 2, 3))
 	z, err := m.Partition()
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +164,7 @@ func TestMarginalConsistency(t *testing.T) {
 
 func BenchmarkMarginalGrid3x4(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	m := Grid(rng, 3, 4, 3)
+	m := withEngine(b, Grid(rng, 3, 4, 3))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.Marginal([]int{0}); err != nil {
@@ -169,7 +177,8 @@ func TestModelUseEngineAmortizesPlans(t *testing.T) {
 	eng := core.NewEngine[float64](core.EngineOptions{Workers: 2})
 	defer eng.Close()
 	rng := rand.New(rand.NewSource(31))
-	m := Cycle(rng, 5, 3).UseEngine(eng)
+	m := Cycle(rng, 5, 3)
+	m.Engine = eng
 
 	// MAPAssignment issues 1 + up to n·d MAP evaluations on conditioned
 	// models; conditioning preserves every factor's variable set, so all of

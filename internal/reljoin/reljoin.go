@@ -84,15 +84,15 @@ func relFactor(d *semiring.Domain[bool], r Rel, domSizes []int) (*factor.Factor[
 	return factor.New(d, sorted, tuples, values, func(a, b bool) bool { return a })
 }
 
-// RunInsideOut evaluates the join with the FAQ engine (worst-case-optimal
-// multiway join + Yannakakis-style output filters) and returns the output
-// tuples over variables 0..NumVars-1 (sorted ascending).
-func (in *Instance) RunInsideOut() ([][]int, error) {
+// RunInsideOut evaluates the join on e (worst-case-optimal multiway join +
+// Yannakakis-style output filters) and returns the output tuples over
+// variables 0..NumVars-1 (sorted ascending).
+func (in *Instance) RunInsideOut(e *core.Engine[bool]) ([][]int, error) {
 	q, err := in.ToQuery()
 	if err != nil {
 		return nil, err
 	}
-	prep, err := core.DefaultEngine[bool]().Prepare(q)
+	prep, err := e.Prepare(q)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"github.com/faqdb/faq/internal/core"
 )
 
 // sameRows compares tuple sets treating nil and empty as equal.
@@ -20,12 +22,14 @@ func sameRows(a, b [][]int) bool {
 }
 
 func TestTriangleJoinMatchesBruteForce(t *testing.T) {
+	eng := core.NewEngine[bool](core.EngineOptions{})
+	defer eng.Close()
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 30; trial++ {
 		dom := 2 + rng.Intn(4)
 		edges := RandomEdges(rng, 1+rng.Intn(dom*dom), dom)
 		in := Triangle(dom, edges)
-		got, err := in.RunInsideOut()
+		got, err := in.RunInsideOut(eng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,6 +48,8 @@ func TestTriangleJoinMatchesBruteForce(t *testing.T) {
 }
 
 func TestSkewInstanceIntermediateBlowup(t *testing.T) {
+	eng := core.NewEngine[bool](core.EngineOptions{})
+	defer eng.Close()
 	// On the star instance the binary plan materializes Θ(k²) intermediate
 	// tuples while the output (and the worst-case-optimal runtime) is Θ(k).
 	edges, dom := SkewTriangleEdges(64)
@@ -59,7 +65,7 @@ func TestSkewInstanceIntermediateBlowup(t *testing.T) {
 	if len(out) > 4*k {
 		t.Fatalf("output has %d tuples; expected Θ(k)", len(out))
 	}
-	wco, err := in.RunInsideOut()
+	wco, err := in.RunInsideOut(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,6 +75,8 @@ func TestSkewInstanceIntermediateBlowup(t *testing.T) {
 }
 
 func TestAcyclicPathJoin(t *testing.T) {
+	eng := core.NewEngine[bool](core.EngineOptions{})
+	defer eng.Close()
 	// R(x0,x1) ⋈ S(x1,x2): α-acyclic, both engines agree.
 	in := &Instance{
 		NumVars:  3,
@@ -78,7 +86,7 @@ func TestAcyclicPathJoin(t *testing.T) {
 			{Name: "S", Vars: []int{1, 2}, Rows: [][]int{{1, 2}, {0, 0}}},
 		},
 	}
-	got, err := in.RunInsideOut()
+	got, err := in.RunInsideOut(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,6 +97,8 @@ func TestAcyclicPathJoin(t *testing.T) {
 }
 
 func TestRelFactorUnsortedVars(t *testing.T) {
+	eng := core.NewEngine[bool](core.EngineOptions{})
+	defer eng.Close()
 	// Relation with descending variable ids must reorder columns.
 	in := &Instance{
 		NumVars:  2,
@@ -98,7 +108,7 @@ func TestRelFactorUnsortedVars(t *testing.T) {
 			{Name: "U", Vars: []int{0}, Rows: [][]int{{0}, {1}}},
 		},
 	}
-	got, err := in.RunInsideOut()
+	got, err := in.RunInsideOut(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,6 +129,8 @@ func TestHashJoinRowArityValidation(t *testing.T) {
 }
 
 func TestDuplicateRowsDeduped(t *testing.T) {
+	eng := core.NewEngine[bool](core.EngineOptions{})
+	defer eng.Close()
 	in := &Instance{
 		NumVars:  2,
 		DomSizes: []int{2, 2},
@@ -127,7 +139,7 @@ func TestDuplicateRowsDeduped(t *testing.T) {
 			{Name: "S", Vars: []int{1}, Rows: [][]int{{1}, {1}}},
 		},
 	}
-	got, err := in.RunInsideOut()
+	got, err := in.RunInsideOut(eng)
 	if err != nil {
 		t.Fatal(err)
 	}

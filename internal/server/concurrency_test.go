@@ -14,7 +14,7 @@ import (
 
 // TestConcurrentServing is the PR-3 acceptance test: ≥32 goroutines issue a
 // mix of same-shape and distinct-shape queries against a running server and
-// every response must be bit-identical to a single-threaded Solve of the
+// every response must be bit-identical to a single-threaded engine run of the
 // same spec; the shared shapes are planned exactly once each (the
 // singleflight guard), and shutting the server down leaks no goroutines.
 // Run under -race.
@@ -120,7 +120,7 @@ func TestConcurrentServing(t *testing.T) {
 		}
 	}
 
-	st := s.Engine().StatsSnapshot()
+	st := s.Engine().Stats()
 	if st.PlanCacheMisses != distinctShapes {
 		t.Fatalf("planned %d times for %d distinct shapes: %+v", st.PlanCacheMisses, distinctShapes, st)
 	}
@@ -152,5 +152,5 @@ func TestConcurrentServing(t *testing.T) {
 }
 
 func errMismatch(g, i int, got, want any) error {
-	return fmt.Errorf("goroutine %d request %d: response %v not bit-identical to Solve %v", g, i, got, want)
+	return fmt.Errorf("goroutine %d request %d: response %v not bit-identical to the oracle %v", g, i, got, want)
 }

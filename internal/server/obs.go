@@ -170,10 +170,10 @@ func newServerObs(s *Server) *serverObs {
 	// Engine counters mirror core.EngineStats; each callback takes its own
 	// snapshot (a handful of atomic loads — scraping is the cold path).
 	engCounter := func(name, help string, f func(core.EngineStats) int64) {
-		reg.CounterFunc(name, help, func() float64 { return float64(f(s.eng.StatsSnapshot())) })
+		reg.CounterFunc(name, help, func() float64 { return float64(f(s.eng.Stats())) })
 	}
 	engGauge := func(name, help string, f func(core.EngineStats) int64) {
-		reg.GaugeFunc(name, help, func() float64 { return float64(f(s.eng.StatsSnapshot())) })
+		reg.GaugeFunc(name, help, func() float64 { return float64(f(s.eng.Stats())) })
 	}
 	engCounter("faqd_engine_prepared_total", "Prepared queries.",
 		func(e core.EngineStats) int64 { return e.Prepared })

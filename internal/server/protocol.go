@@ -420,7 +420,7 @@ type SortStatz struct {
 	LastBlockKeys int64 `json:"last_block_keys"`
 }
 
-// EngineStatz mirrors core.EngineStats (see Engine.StatsSnapshot).
+// EngineStatz mirrors core.EngineStats (see Engine.Stats).
 type EngineStatz struct {
 	// Prepared counts Prepare calls that returned a prepared query.
 	Prepared int64 `json:"prepared"`

@@ -337,7 +337,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 // Statsz assembles the /statsz snapshot: engine counters (atomic, untorn)
 // plus the server-level metrics.
 func (s *Server) Statsz() StatszResponse {
-	es := s.eng.StatsSnapshot()
+	es := s.eng.Stats()
 	sv := s.m.snapshot()
 	sv.DeltaSessions = int64(s.sessions.len())
 	var st *StoreStatz

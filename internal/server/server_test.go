@@ -47,8 +47,8 @@ func triangleSpec(dom, nfree int, shift float64) string {
 	return b.String()
 }
 
-// solveSpec evaluates a spec single-threaded through the one-shot Solve
-// path — the oracle the server must match bit-for-bit.
+// solveSpec evaluates a spec single-threaded on an engine of its own — the
+// oracle the server must match bit-for-bit.
 func solveSpec(t *testing.T, specText string) *core.Result[float64] {
 	t.Helper()
 	doc, err := spec.ParseDocument(strings.NewReader(specText))
@@ -59,11 +59,15 @@ func solveSpec(t *testing.T, specText string) *core.Result[float64] {
 	if err != nil {
 		t.Fatalf("oracle build: %v", err)
 	}
-	opts := core.DefaultOptions()
-	opts.Workers = 1
-	res, _, err := core.Solve(q, opts)
+	eng := core.NewEngine[float64](core.EngineOptions{Workers: 1})
+	defer eng.Close()
+	prep, err := eng.Prepare(q)
 	if err != nil {
-		t.Fatalf("oracle solve: %v", err)
+		t.Fatalf("oracle prepare: %v", err)
+	}
+	res, err := prep.Run(context.Background())
+	if err != nil {
+		t.Fatalf("oracle run: %v", err)
 	}
 	return res
 }
@@ -180,7 +184,7 @@ func TestQueryWithFreshFactors(t *testing.T) {
 		if got := fval(t, resp); got != want {
 			t.Fatalf("fresh factors w=%g: got %v, want %v", w, got, want)
 		}
-		st := s.Engine().StatsSnapshot()
+		st := s.Engine().Stats()
 		if st.PlanCacheMisses != 1 || int(st.PlanCacheHits) != i {
 			t.Fatalf("after request %d: %+v", i, st)
 		}

@@ -204,7 +204,7 @@ func TestMultiDomainPlanSharing(t *testing.T) {
 		return b.String()
 	}
 
-	misses := func() int64 { return s.Engine().StatsSnapshot().PlanCacheMisses }
+	misses := func() int64 { return s.Engine().Stats().PlanCacheMisses }
 
 	fresp, err := c.Query(ctx, &QueryRequest{Spec: triangle("float", "sum")})
 	if err != nil {

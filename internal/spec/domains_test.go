@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -135,13 +136,20 @@ end
 	if got != 3.5 {
 		t.Fatalf("shortest path %v, want 3.5", got)
 	}
-	// Solve agrees (tropical runs through the full planner/executor stack).
-	res, _, err := core.Solve(q, core.DefaultOptions())
+	// The engine agrees (tropical runs through the full planner/executor
+	// stack).
+	eng := core.NewEngine[float64](core.EngineOptions{})
+	defer eng.Close()
+	prep, err := eng.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := prep.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Float64bits(res.Scalar()) != math.Float64bits(got) {
-		t.Fatalf("Solve %v != BruteForce %v", res.Scalar(), got)
+		t.Fatalf("engine %v != BruteForce %v", res.Scalar(), got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -58,7 +59,13 @@ func TestParseSample(t *testing.T) {
 		t.Fatalf("f(b=0,c=2) = %v, %v", v, ok)
 	}
 	// End-to-end: the parsed query must evaluate.
-	res, _, err := core.Solve(q, core.DefaultOptions())
+	eng := core.NewEngine[float64](core.EngineOptions{})
+	defer eng.Close()
+	prep, err := eng.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := prep.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

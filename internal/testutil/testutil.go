@@ -1,6 +1,7 @@
-// Package testutil holds helpers for the smoke tests that run the cmd/ and
-// examples/ binaries in-process: each test points os.Args at a tiny embedded
-// input, captures stdout, and calls the package's main().
+// Package testutil holds test helpers: for the smoke tests that run the
+// cmd/ and examples/ binaries in-process (each test points os.Args at a
+// tiny embedded input, captures stdout, and calls the package's main()),
+// and a goroutine stack diff for exact leak checks.
 package testutil
 
 import (
